@@ -100,10 +100,12 @@ def forward(theta: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack(data, n: int) -> np.ndarray:
-    rows = [np.asarray(getattr(x, "entries", x), dtype=np.float64) for x in data]
-    if not rows:
-        raise ValueError("data must be non-empty")
-    X = np.stack(rows)
+    """The batch as a (B, n) float64 matrix; a float64 2-D array is returned as is."""
+    if not isinstance(data, np.ndarray):
+        data = [np.asarray(getattr(x, "entries", x), dtype=np.float64) for x in data]
+    X = np.asarray(data, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"data has shape {X.shape}, expected a non-empty (B, {n}) batch of vectors")
     if X.shape[1] != n:
         raise ValueError(f"data vectors have length {X.shape[1]}, expected {n}")
     return X
@@ -121,33 +123,28 @@ def kl_divergence(rho: float, rho_hat) -> np.ndarray:
     return rho * np.log(rho / rho_hat) + (1.0 - rho) * np.log((1.0 - rho) / (1.0 - rho_hat))
 
 
-def cost(theta: ModelParams, data, cfg: CostConfig) -> float:
-    """Training objective for the configured variant over the whole batch."""
-    X = _stack(data, theta.n)
-    Y, Z = _forward_batch(theta, X)
-    total = float(np.mean(0.5 * np.sum((X - Z) ** 2, axis=1)))
-    if cfg.variant in ("wae", "sae"):
-        total += 0.5 * cfg.beta * (float(np.sum(theta.w_enc**2)) + float(np.sum(theta.w_dec**2)))
-    if cfg.variant == "sae":
-        rho_hat = np.clip(Y.mean(axis=0), _RHO_HAT_CLIP, 1.0 - _RHO_HAT_CLIP)
-        total += cfg.eta * float(np.sum(kl_divergence(cfg.rho, rho_hat)))
-    return total
+def cost_and_grad(theta: ModelParams, data, cfg: CostConfig) -> tuple[float, CostGradient]:
+    """Training objective for the configured variant and its analytic gradient.
 
-
-def gradient(theta: ModelParams, data, cfg: CostConfig) -> CostGradient:
-    """Analytic gradient of `cost` with respect to every parameter."""
+    One forward pass over the whole batch feeds both the cost and the reverse
+    pass through the two sigmoid layers.
+    """
     X = _stack(data, theta.n)
     B = X.shape[0]
     Y, Z = _forward_batch(theta, X)
 
+    total = float(np.mean(0.5 * np.sum((X - Z) ** 2, axis=1)))
     delta_z = ((Z - X) / B) * Z * (1.0 - Z)  # B x n
     g_wdec = delta_z.T @ Y
     g_bdec = delta_z.sum(axis=0)
 
     back = delta_z @ theta.w_dec  # B x k
+    if cfg.variant in ("wae", "sae"):
+        total += 0.5 * cfg.beta * (float(np.sum(theta.w_enc**2)) + float(np.sum(theta.w_dec**2)))
     if cfg.variant == "sae":
         rho_hat_raw = Y.mean(axis=0)
         rho_hat = np.clip(rho_hat_raw, _RHO_HAT_CLIP, 1.0 - _RHO_HAT_CLIP)
+        total += cfg.eta * float(np.sum(kl_divergence(cfg.rho, rho_hat)))
         kl_grad = cfg.eta * (-cfg.rho / rho_hat + (1.0 - cfg.rho) / (1.0 - rho_hat))
         kl_grad = np.where(rho_hat_raw == rho_hat, kl_grad, 0.0)  # clamp is flat
         back = back + kl_grad / B
@@ -158,7 +155,17 @@ def gradient(theta: ModelParams, data, cfg: CostConfig) -> CostGradient:
     if cfg.variant in ("wae", "sae"):
         g_wenc = g_wenc + cfg.beta * theta.w_enc
         g_wdec = g_wdec + cfg.beta * theta.w_dec
-    return CostGradient(w_enc=g_wenc, b_enc=g_benc, w_dec=g_wdec, b_dec=g_bdec)
+    return total, CostGradient(w_enc=g_wenc, b_enc=g_benc, w_dec=g_wdec, b_dec=g_bdec)
+
+
+def cost(theta: ModelParams, data, cfg: CostConfig) -> float:
+    """Training objective for the configured variant over the whole batch."""
+    return cost_and_grad(theta, data, cfg)[0]
+
+
+def gradient(theta: ModelParams, data, cfg: CostConfig) -> CostGradient:
+    """Analytic gradient of `cost` with respect to every parameter."""
+    return cost_and_grad(theta, data, cfg)[1]
 
 
 def init_params(n: int, k: int, seed: int, sigma: SpheringScale | None = None) -> ModelParams:

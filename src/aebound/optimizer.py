@@ -1,8 +1,9 @@
 """Self-contained L-BFGS minimizer with a strong-Wolfe line search.
 
 Two-loop recursion over a bounded history of correction pairs; the line
-search brackets and zooms with cubic interpolation. Used to fit autoencoder
-weights, but works on any deterministic (cost, gradient) objective.
+search brackets and zooms with quadratic interpolation. Used to fit
+autoencoder weights, but works on any deterministic (cost, gradient)
+objective.
 """
 
 from __future__ import annotations
@@ -41,18 +42,16 @@ class TrainingTrace:
     stop_reason: str  # converged | max_iters | line_search_failure
 
 
-def _cubic_min(a, fa, ga, b, fb):
-    """Minimizer of the cubic through (a, fa, ga) and (b, fb) with gb unknown.
+def _quadratic_min(a, fa, ga, b, fb):
+    """Minimizer of the quadratic through (a, fa) with slope ga there and (b, fb).
 
-    Falls back to the quadratic through the same data; returns None when the
-    interpolation is degenerate.
+    Returns None when the interpolation is degenerate.
     """
     if b == a:
         return None
     denom = (b - a) ** 2
     if denom == 0:
         return None
-    # quadratic interpolation using fa, ga, fb
     top = fb - fa - ga * (b - a)
     if top == 0:
         return None
@@ -63,7 +62,7 @@ def _cubic_min(a, fa, ga, b, fb):
 def _zoom(phi, lo, f_lo, g_lo, hi, f_hi, f0, g0, c1, c2, max_steps):
     """Strong-Wolfe zoom phase on the bracket [lo, hi]."""
     for _ in range(max_steps):
-        t = _cubic_min(lo, f_lo, g_lo, hi, f_hi)
+        t = _quadratic_min(lo, f_lo, g_lo, hi, f_hi)
         left, right = min(lo, hi), max(lo, hi)
         span = right - left
         if t is None or not (left + 0.1 * span <= t <= right - 0.1 * span):
@@ -82,6 +81,20 @@ def _zoom(phi, lo, f_lo, g_lo, hi, f_hi, f0, g0, c1, c2, max_steps):
     if f_lo < f0:
         return lo, f_lo, g_lo
     return None
+
+
+def _line(objective, x, d, last):
+    """phi(a) = (f, directional derivative) at x + a*d; keeps the last (f, g) in `last`.
+
+    `last` is a list owned by the caller, so phi holds no reference to itself
+    and each iteration's arrays are freed as soon as it ends.
+    """
+
+    def phi(a):
+        last[:] = objective(x + a * d)
+        return last[0], float(last[1] @ d)
+
+    return phi
 
 
 def _strong_wolfe(phi, f0, g0, c1, c2, max_steps, alpha0=1.0):
@@ -157,15 +170,12 @@ def minimize(
             d = -g
             dg = float(d @ g)
 
-        def phi(a, _d=d, _x=x):
-            fv, gv = objective(_x + a * _d)
-            phi._last = (fv, gv)
-            return fv, float(gv @ _d)
-
+        last = [None, None]  # (f, g) of the line search's latest evaluation
         # first iterate (or restart) uses a scaled initial step
-        alpha0 = 1.0 if y_hist else min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
+        first_step = min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
         res = _strong_wolfe(
-            phi, f, dg, opts.wolfe_c1, opts.wolfe_c2, opts.max_line_search_steps, alpha0
+            _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
+            opts.max_line_search_steps, 1.0 if y_hist else first_step,
         )
         if res is None and s_hist:
             # retry once along steepest descent with fresh memory
@@ -174,15 +184,9 @@ def minimize(
             rho_hist.clear()
             d = -g
             dg = float(d @ g)
-
-            def phi(a, _d=d, _x=x):
-                fv, gv = objective(_x + a * _d)
-                phi._last = (fv, gv)
-                return fv, float(gv @ _d)
-
             res = _strong_wolfe(
-                phi, f, dg, opts.wolfe_c1, opts.wolfe_c2, opts.max_line_search_steps,
-                min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g))))),
+                _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
+                opts.max_line_search_steps, first_step,
             )
         if res is None:
             # near the minimum the Wolfe test drowns in f-roundoff; accept a
@@ -203,8 +207,8 @@ def minimize(
         else:
             alpha, f_new, _ = res
             x_new = x + alpha * d
-            _, g_new = phi._last
-            if phi._last[0] != f_new:  # zoom may return an earlier evaluation point
+            f_last, g_new = last
+            if f_last != f_new:  # zoom may return an earlier evaluation point
                 f_new, g_new = objective(x_new)
 
         s = x_new - x
@@ -257,17 +261,16 @@ def train(
     for v in vectors:
         if v.shape != (n,):
             raise ValueError(f"training vector has shape {v.shape}, expected ({n},)")
-    sigma = sphering.estimate_sigma(vectors)
-    X = np.stack([sphering.normalize(v, sigma) for v in vectors])
+    raw = np.stack(vectors)
+    sigma = sphering.estimate_sigma(raw)
+    X = sphering.normalize(raw, sigma)
 
     theta0 = autoencoder.init_params(n, k, seed, sigma=sigma)
     x0 = autoencoder.flatten_params(theta0)
 
     def objective(vec):
-        theta = autoencoder.unflatten_params(vec, n, k, sigma)
-        c = autoencoder.cost(theta, X, cfg)
-        g = autoencoder.flatten_gradient(autoencoder.gradient(theta, X, cfg))
-        return c, g
+        c, g = autoencoder.cost_and_grad(autoencoder.unflatten_params(vec, n, k, sigma), X, cfg)
+        return c, autoencoder.flatten_gradient(g)
 
     x_star, trace = minimize(objective, x0, opts)
     return autoencoder.unflatten_params(x_star, n, k, sigma), trace

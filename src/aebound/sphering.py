@@ -1,15 +1,14 @@
 """Input normalization for the sigmoid autoencoder.
 
-Each vector is centered on its own mean, truncated at three global standard
-deviations, and rescaled into [0.1, 0.9]. The global scale is estimated once
-from the training set and shipped with the model, so both ends of the link
-apply the same mapping.
+Each vector, or each row of a (B, n) batch, is centered on its own mean,
+truncated at three global standard deviations, and rescaled into [0.1, 0.9].
+The global scale is estimated once from the training set and shipped with
+the model, so both ends of the link apply the same mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -34,12 +33,27 @@ def _as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=np.float64)
 
 
-def estimate_sigma(training: Iterable) -> SpheringScale:
-    """Population standard deviation of all per-vector-centered training entries."""
-    centered = [(_as_array(p) - _as_array(p).mean()) for p in training]
-    if not centered:
+def _centered(arr: np.ndarray) -> np.ndarray:
+    """A vector, or each row of a batch, minus its own mean.
+
+    Sums then divides, as `arr.mean()` does, so a vector and the same row of
+    a batch get bit-identical results; skips `mean`'s per-call overhead.
+    """
+    return arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
+
+
+def estimate_sigma(training) -> SpheringScale:
+    """Population standard deviation of all per-vector-centered training entries.
+
+    `training` is an iterable of vectors or a (B, n) batch.
+    """
+    if isinstance(training, np.ndarray) and training.ndim == 2:
+        centered = _centered(_as_array(training))
+    else:
+        centered = [_centered(_as_array(p)) for p in training]
+    if len(centered) == 0:
         raise ValueError("training set is empty")
-    pooled = np.concatenate(centered)
+    pooled = np.concatenate(centered, axis=None)
     sigma = float(np.sqrt(np.mean(pooled**2)))  # centered entries have zero mean per vector pool
     if sigma == 0.0:
         raise DegenerateDataError("all centered training entries are zero")
@@ -47,12 +61,12 @@ def estimate_sigma(training: Iterable) -> SpheringScale:
 
 
 def normalize(p, sigma: SpheringScale) -> np.ndarray:
-    """Map a raw vector into [0.1, 0.9] with 3-sigma truncation."""
+    """Map a raw vector, or each row of a (B, n) batch, into [0.1, 0.9] with 3-sigma truncation."""
     arr = _as_array(p)
     if not np.all(np.isfinite(arr)):
         raise ValueError("input contains non-finite entries")
     s3 = 3.0 * sigma.sigma
-    centered = np.clip(arr - arr.mean(), -s3, s3)
+    centered = np.clip(_centered(arr), -s3, s3)
     # the final clip pins boundary values that float rounding would push
     # a few ulps outside the advertised range
     return np.clip(0.5 + (0.4 / s3) * centered, 0.1, 0.9)

@@ -187,6 +187,43 @@ class TestGradient:
         np.testing.assert_array_equal(g_wae.b_dec, g_ae.b_dec)
 
 
+class TestCostAndGrad:
+    @pytest.mark.parametrize("variant", ["ae", "wae", "sae"])
+    def test_equals_cost_and_gradient_exactly(self, variant):
+        rng = np.random.default_rng(12)
+        cfg = ae.CostConfig(variant, beta=0.02, eta=0.3, rho=0.05)
+        theta = ae.init_params(6, 3, seed=13)
+        X = rng.uniform(0.1, 0.9, (20, 6))
+        c, g = ae.cost_and_grad(theta, X, cfg)
+        assert c == ae.cost(theta, X, cfg)
+        expected = ae.gradient(theta, X, cfg)
+        for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
+            assert np.array_equal(getattr(g, name), getattr(expected, name))
+
+    def test_list_of_vectors_matches_matrix(self):
+        rng = np.random.default_rng(14)
+        cfg = ae.CostConfig("sae")
+        theta = ae.init_params(5, 2, seed=15)
+        X = rng.uniform(0.1, 0.9, (7, 5))
+        assert ae.cost_and_grad(theta, list(X), cfg)[0] == ae.cost_and_grad(theta, X, cfg)[0]
+
+    def test_matrix_is_not_copied(self):
+        X = np.full((3, 4), 0.5)
+        assert ae._stack(X, 4) is X
+
+    @pytest.mark.parametrize("fn", [ae.cost, ae.gradient, ae.cost_and_grad])
+    def test_single_vector_rejected(self, fn):
+        theta = ae.init_params(4, 2, seed=0)
+        with pytest.raises(ValueError, match=r"\(B, 4\)"):
+            fn(theta, np.full(4, 0.5), ae.CostConfig("ae"))
+
+    @pytest.mark.parametrize("data", [np.zeros((0, 4)), [], np.zeros((3, 5)), [np.zeros(5)]])
+    def test_empty_or_wrong_width_rejected(self, data):
+        theta = ae.init_params(4, 2, seed=0)
+        with pytest.raises(ValueError):
+            ae.cost_and_grad(theta, data, ae.CostConfig("ae"))
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = ae.init_params(10, 3, seed=42)

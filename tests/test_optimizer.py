@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ class TestMinimize:
         assert trace.cost_history[-1] <= trace.cost_history[0]
 
 
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            minimize(quadratic([1.0, -2.0, 3.0]), np.zeros(3), LbfgsOptions(grad_tol=1e-10))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 class TestTrain:
     def test_identity_capable_architecture_fits(self):
         rng = np.random.default_rng(3)
@@ -114,3 +125,23 @@ class TestTrain:
         data = [rng.normal(0, 3, 8) for _ in range(10)]
         model, _ = train(data, 8, 2, ae.CostConfig("ae"), LbfgsOptions(max_iters=5), seed=1)
         assert model.sigma.sigma == estimate_sigma(data).sigma
+
+    def test_one_forward_pass_per_evaluation(self, monkeypatch):
+        counts = {"evals": 0, "forward": 0}
+        cost_and_grad, forward_batch = ae.cost_and_grad, ae._forward_batch
+
+        def counted_eval(*args):
+            counts["evals"] += 1
+            return cost_and_grad(*args)
+
+        def counted_forward(*args):
+            counts["forward"] += 1
+            return forward_batch(*args)
+
+        monkeypatch.setattr(ae, "cost_and_grad", counted_eval)
+        monkeypatch.setattr(ae, "_forward_batch", counted_forward)
+        rng = np.random.default_rng(6)
+        data = [rng.normal(0, 1, 6) for _ in range(15)]
+        train(data, 6, 2, ae.CostConfig("sae"), LbfgsOptions(max_iters=10), seed=2)
+        assert counts["evals"] > 10
+        assert counts["forward"] == counts["evals"]

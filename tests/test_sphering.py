@@ -68,6 +68,33 @@ class TestNormalize:
             assert np.all(np.diff(x[order]) >= 0)
 
 
+class TestBatch:
+    def _windows(self):
+        rng = np.random.default_rng(3)
+        scale = rng.uniform(0.01, 1000, (5000, 1))
+        return rng.normal(size=(5000, 16)) * scale + rng.uniform(-1e4, 1e4, (5000, 1))
+
+    def test_normalize_batch_equals_per_vector(self):
+        X = self._windows()
+        sigma = SpheringScale(float(np.std(X[:, 0])))
+        expected = np.stack([sphering.normalize(row, sigma) for row in X])
+        assert np.array_equal(sphering.normalize(X, sigma), expected)
+
+    def test_estimate_sigma_batch_equals_per_vector(self):
+        X = self._windows()
+        assert sphering.estimate_sigma(X).sigma == sphering.estimate_sigma(list(X)).sigma
+
+    def test_non_finite_batch_rejected(self):
+        X = np.ones((3, 4))
+        X[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            sphering.normalize(X, SpheringScale(1.0))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            sphering.estimate_sigma(np.zeros((0, 4)))
+
+
 class TestDenormalize:
     def test_center_maps_to_mean(self):
         assert sphering.denormalize(np.array([0.5]), 7.0, SpheringScale(2.0))[0] == pytest.approx(7.0)
