@@ -97,6 +97,11 @@ def _line(objective, x, d, last):
     return phi
 
 
+def _first_step(g):
+    """Scaled initial step for a search without curvature history (first iterate or restart)."""
+    return min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
+
+
 def _strong_wolfe(phi, f0, g0, c1, c2, max_steps, alpha0=1.0):
     """Bracketing line search; phi(a) returns (value, directional derivative).
 
@@ -171,11 +176,9 @@ def minimize(
             dg = float(d @ g)
 
         last = [None, None]  # (f, g) of the line search's latest evaluation
-        # first iterate (or restart) uses a scaled initial step
-        first_step = min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
         res = _strong_wolfe(
             _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
-            opts.max_line_search_steps, 1.0 if y_hist else first_step,
+            opts.max_line_search_steps, 1.0 if y_hist else _first_step(g),
         )
         if res is None and s_hist:
             # retry once along steepest descent with fresh memory
@@ -186,7 +189,7 @@ def minimize(
             dg = float(d @ g)
             res = _strong_wolfe(
                 _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
-                opts.max_line_search_steps, first_step,
+                opts.max_line_search_steps, _first_step(g),
             )
         if res is None:
             # near the minimum the Wolfe test drowns in f-roundoff; accept a
@@ -261,9 +264,8 @@ def train(
     for v in vectors:
         if v.shape != (n,):
             raise ValueError(f"training vector has shape {v.shape}, expected ({n},)")
-    raw = np.stack(vectors)
-    sigma = sphering.estimate_sigma(raw)
-    X = sphering.normalize(raw, sigma)
+    sigma = sphering.estimate_sigma(vectors)
+    X = sphering.normalize(np.stack(vectors), sigma)
 
     theta0 = autoencoder.init_params(n, k, seed, sigma=sigma)
     x0 = autoencoder.flatten_params(theta0)

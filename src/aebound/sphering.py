@@ -39,21 +39,20 @@ def _centered(arr: np.ndarray) -> np.ndarray:
     Sums then divides, as `arr.mean()` does, so a vector and the same row of
     a batch get bit-identical results; skips `mean`'s per-call overhead.
     """
+    if arr.ndim < 1:
+        raise ValueError(f"expected a vector (n,) or a batch (B, n), got shape {arr.shape}")
     return arr - np.add.reduce(arr, axis=-1, keepdims=True) / arr.shape[-1]
 
 
 def estimate_sigma(training) -> SpheringScale:
     """Population standard deviation of all per-vector-centered training entries.
 
-    `training` is an iterable of vectors or a (B, n) batch.
+    `training` is an iterable of vectors; a (B, n) batch iterates its rows.
     """
-    if isinstance(training, np.ndarray) and training.ndim == 2:
-        centered = _centered(_as_array(training))
-    else:
-        centered = [_centered(_as_array(p)) for p in training]
-    if len(centered) == 0:
+    centered = [_centered(_as_array(p)) for p in training]
+    if not centered:
         raise ValueError("training set is empty")
-    pooled = np.concatenate(centered, axis=None)
+    pooled = np.concatenate(centered)
     sigma = float(np.sqrt(np.mean(pooled**2)))  # centered entries have zero mean per vector pool
     if sigma == 0.0:
         raise DegenerateDataError("all centered training entries are zero")

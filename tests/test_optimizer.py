@@ -82,7 +82,6 @@ class TestMinimize:
         assert trace.stop_reason in ("line_search_failure", "max_iters", "converged")
         assert trace.cost_history[-1] <= trace.cost_history[0]
 
-
     def test_leaves_no_reference_cycles(self):
         gc.collect()
         gc.disable()
@@ -91,6 +90,7 @@ class TestMinimize:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
 
 class TestTrain:
     def test_identity_capable_architecture_fits(self):

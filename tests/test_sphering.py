@@ -94,6 +94,19 @@ class TestBatch:
         with pytest.raises(ValueError):
             sphering.estimate_sigma(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sphering.normalize(3.0, SpheringScale(1.0)),
+            lambda: sphering.estimate_sigma(np.array([1.0, 2.0])),
+            lambda: sphering.estimate_sigma([1.0, 2.0]),
+        ],
+        ids=["normalize-scalar", "sigma-of-1d-array", "sigma-of-scalar-list"],
+    )
+    def test_scalar_input_rejected(self, call):
+        with pytest.raises(ValueError, match=r"\(B, n\)"):
+            call()
+
 
 class TestDenormalize:
     def test_center_maps_to_mean(self):
