@@ -100,10 +100,8 @@ def forward(theta: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack(data, n: int) -> np.ndarray:
-    """The batch as a (B, n) float64 matrix; a float64 2-D array is returned as is."""
-    if not isinstance(data, np.ndarray):
-        data = [np.asarray(getattr(x, "entries", x), dtype=np.float64) for x in data]
-    X = np.asarray(data, dtype=np.float64)
+    """The batch as a C-contiguous (B, n) float64 matrix; such an array is returned as is."""
+    X = np.ascontiguousarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"data has shape {X.shape}, expected a non-empty (B, {n}) batch of vectors")
     if X.shape[1] != n:

@@ -40,7 +40,7 @@ def ltc_compress(series, bound: float) -> list[LtcSegment]:
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
         raise ValueError("series must be 1-D with at least 2 samples")
-    if bound <= 0:
+    if not bound > 0:  # also rejects NaN
         raise ValueError(f"bound must be positive, got {bound}")
 
     segments: list[LtcSegment] = []
@@ -179,7 +179,7 @@ def _unpack_codes(data: bytes) -> list[int]:
 
 
 def _fraction_bits(bound: float) -> int:
-    if bound < 0:
+    if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if bound == 0.0:
         return 24  # lossless intent; quantization still limits precision to 2^-24
@@ -261,7 +261,7 @@ class LinearBasisModel:
 
 def pca_fit(training, k: int) -> LinearBasisModel:
     """Top-k right singular vectors of the mean-centered training matrix."""
-    X = np.stack([np.asarray(getattr(p, "entries", p), dtype=np.float64) for p in training])
+    X = np.asarray(training, dtype=np.float64)
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} training vectors, got {X.shape[0]}")
     mean = X.mean(axis=0)
@@ -275,7 +275,7 @@ def pca_fit(training, k: int) -> LinearBasisModel:
 
 
 def pca_compress(p, model: LinearBasisModel) -> np.ndarray:
-    p = np.asarray(getattr(p, "entries", p), dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     return model.components @ (p - model.mean)
 
 
@@ -285,7 +285,7 @@ def pca_decompress(coeffs, model: LinearBasisModel) -> np.ndarray:
 
 def dct_compress(p, k: int) -> list[tuple[int, float]]:
     """Orthonormal DCT-II; keep the k largest-magnitude coefficients."""
-    p = np.asarray(getattr(p, "entries", p), dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range [1, {n}]")

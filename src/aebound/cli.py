@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
     windows = harness.load_windows(cfg)
     variant = cfg.variants[0]
     k = cfg.k_list[0]
-    n = len(windows[0])
+    n = windows.shape[1]
     cost_cfg = CostConfig(variant=variant, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
     model, trace = train_model(windows, n, k, cost_cfg, cfg.optimizer, cfg.seed)
     bound = cfg.bounds[0]
@@ -100,20 +100,31 @@ def _csv_windows(path, timestamp_column, model, mode):
     return dataset.make_windows(matrix, mode, n)
 
 
+def _wide_residuals(default_bound: float) -> bool:
+    """Residual width on the wire, fixed by the model: 64-bit only for a lossless model.
+
+    `decompress` knows only the model, so `compress` must use the same width
+    whatever `--bound` says.
+    """
+    return default_bound == 0.0
+
+
 def cmd_compress(args) -> int:
     model, default_bound = codec.load_model(args.model)
     bound = default_bound if args.bound is None else args.bound
+    wide = _wide_residuals(default_bound)
+    if bound == 0.0 and not wide:
+        raise UsageError(f"--bound 0 needs a lossless model; this model's default bound is {default_bound}")
     windows = _csv_windows(args.input, args.timestamp_column, model, args.mode)
-    wide = bound == 0.0
-    packets = [codec.compress(p, model, bound) for p in windows]
+    packets = [codec.compress(p, model, bound, wide) for p in windows]
     codec.write_packet_stream(packets, model.n, model.k, args.out, wide_residuals=wide)
     if args.verify:
-        worst = 0.0
-        for p, pkt in zip(windows, packets):
-            q = codec.decompress(pkt, model)
-            worst = max(worst, float(np.max(np.abs(p.entries - q))))
-        if worst > bound:
-            print(f"VERIFY FAILED: max error {worst} > bound {bound}", file=sys.stderr)
+        decoded = codec.read_packet_stream(args.out, model.n, model.k, wide_residuals=wide)
+        worst = max((float(np.max(np.abs(p - codec.decompress(pkt, model))))
+                     for p, pkt in zip(windows, decoded)), default=0.0)
+        if len(decoded) != len(windows) or worst > bound:
+            print(f"VERIFY FAILED: {len(decoded)} packets read back for {len(windows)} windows, "
+                  f"max error {worst} (bound {bound})", file=sys.stderr)
             return 1
         print(f"verify ok: max reconstruction error {worst:.6g} <= bound {bound}")
     print(f"wrote {len(packets)} packets to {args.out}")
@@ -122,7 +133,7 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     model, default_bound = codec.load_model(args.model)
-    wide = default_bound == 0.0
+    wide = _wide_residuals(default_bound)
     packets = codec.read_packet_stream(args.packets, model.n, model.k, wide_residuals=wide)
     with open(args.out, "w") as fh:
         fh.write("window," + ",".join(f"v{i}" for i in range(model.n)) + "\n")
@@ -186,9 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--timestamp-column", default="t")
     p.add_argument("--mode", choices=("temporal", "spatial"), default="temporal")
-    p.add_argument("--bound", type=float, default=None, help="override the model's default bound")
+    p.add_argument("--bound", type=float, default=None,
+                   help="override the model's default bound; 0 (lossless) needs a lossless model")
     p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true", help="check the bound against the original")
+    p.add_argument("--verify", action="store_true",
+                   help="decode the written file and check the bound against the original")
     p.set_defaults(fn=cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress a packet stream into a CSV")

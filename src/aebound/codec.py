@@ -92,12 +92,12 @@ def _exact_residuals(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packet:
     """Encode one raw vector into a packet honoring the error bound."""
-    p = np.asarray(getattr(p, "entries", p), dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     if p.shape != (model.n,):
         raise ValueError(f"input shape {p.shape} != ({model.n},)")
     if not np.all(np.isfinite(p)):
         raise ValueError("input contains non-finite entries")
-    if bound < 0:
+    if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if wide_residuals is None:
         wide_residuals = bound == 0.0
@@ -243,6 +243,8 @@ def load_model(path) -> tuple[ModelParams, float]:
     version, n, k, sigma, bound = struct.unpack("<HIIdd", data[4:head_size])
     if version > MODEL_VERSION:
         raise UnsupportedVersionError(f"model file version {version} > supported {MODEL_VERSION}")
+    if not (np.isfinite(bound) and bound >= 0):
+        raise FormatError(f"model default bound must be nonnegative and finite, got {bound}")
     counts = [k * n, k, n * k, n]
     expected = head_size + 8 * sum(counts)
     if len(data) != expected:
@@ -252,13 +254,16 @@ def load_model(path) -> tuple[ModelParams, float]:
     for count in counts:
         arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy())
         offset += 8 * count
-    model = ModelParams(
-        w_enc=arrays[0].reshape(k, n),
-        b_enc=arrays[1],
-        w_dec=arrays[2].reshape(n, k),
-        b_dec=arrays[3],
-        n=n,
-        k=k,
-        sigma=SpheringScale(sigma),
-    )
+    try:  # a bad sigma, non-finite weights or n = 0 / k = 0
+        model = ModelParams(
+            w_enc=arrays[0].reshape(k, n),
+            b_enc=arrays[1],
+            w_dec=arrays[2].reshape(n, k),
+            b_dec=arrays[3],
+            n=n,
+            k=k,
+            sigma=SpheringScale(sigma),
+        )
+    except ValueError as exc:
+        raise FormatError(f"bad model file: {exc}") from exc
     return model, bound

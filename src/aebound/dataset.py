@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ParseError, SchemaError, WindowError
 
@@ -50,25 +51,6 @@ class SensorMatrix:
     @property
     def n_steps(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class DataVector:
-    """One fixed-length input vector plus where it was cut from."""
-
-    entries: np.ndarray
-    origin: tuple  # ("temporal", sensor_index, start_step) or ("spatial", step)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 1:
-            raise ValueError("entries must be 1-D")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite")
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -174,12 +156,13 @@ def fill_missing(m: SensorMatrix) -> SensorMatrix:
     return SensorMatrix(values=values, sensor_ids=m.sensor_ids, timestamps=m.timestamps)
 
 
-def make_windows(m: SensorMatrix, mode: str, n: int, stride: int | None = None) -> list[DataVector]:
-    """Cut input vectors out of the matrix.
+def make_windows(m: SensorMatrix, mode: str, n: int, stride: int | None = None) -> np.ndarray:
+    """Cut input vectors out of the matrix, one per row of a (B, n) float64 array.
 
-    temporal: length-n strided slices of each sensor's row (trailing partial
-    windows dropped). spatial: one vector per timestamp holding all sensors'
-    readings, n must equal the sensor count.
+    temporal: length-n strided slices of each sensor's row, sensor by sensor
+    (trailing partial windows dropped). spatial: one row per timestamp
+    holding all sensors' readings, n must equal the sensor count. The array
+    is always a fresh C-contiguous copy, never a view of `m.values`.
     """
     if not np.all(np.isfinite(m.values)):
         raise ValueError("matrix contains missing values; call fill_missing first")
@@ -190,17 +173,12 @@ def make_windows(m: SensorMatrix, mode: str, n: int, stride: int | None = None) 
             raise ValueError("stride must be positive")
         if n < 1 or n > m.n_steps:
             raise WindowError(f"window size {n} does not fit {m.n_steps} timesteps")
-        out = []
-        for s in range(m.n_sensors):
-            for start in range(0, m.n_steps - n + 1, stride):
-                out.append(
-                    DataVector(entries=m.values[s, start : start + n], origin=("temporal", s, start))
-                )
-        return out
+        # np.array copies: a bare reshape can return a read-only view
+        return np.array(sliding_window_view(m.values, n, axis=1)[:, ::stride]).reshape(-1, n)
     if mode == "spatial":
         if n != m.n_sensors:
             raise WindowError(f"spatial mode needs n == sensor count ({m.n_sensors}), got {n}")
-        return [DataVector(entries=m.values[:, t], origin=("spatial", t)) for t in range(m.n_steps)]
+        return m.values.T.copy()
     raise ValueError(f"unknown mode {mode!r}")
 
 

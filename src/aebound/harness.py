@@ -71,13 +71,16 @@ class BenchmarkConfig:
         for m in self.baseline_methods:
             if m not in BASELINE_METHODS:
                 raise ValueError(f"unknown baseline {m!r}")
+        for b in self.bounds:
+            if not b >= 0:  # also rejects NaN
+                raise ValueError(f"bounds must be nonnegative, got {b}")
 
 
 def _cell_seed(base: int, *parts: int) -> int:
     return int(np.random.SeedSequence([base, *parts]).generate_state(1)[0])
 
 
-def load_windows(cfg: BenchmarkConfig) -> list[dataset.DataVector]:
+def load_windows(cfg: BenchmarkConfig) -> np.ndarray:
     if cfg.csv_path is not None:
         matrix = dataset.fill_missing(
             dataset.load_csv(cfg.csv_path, dataset.CsvSchema(timestamp=cfg.timestamp_column))
@@ -127,57 +130,61 @@ class _CellResult:
         self.wall_time += other.wall_time
 
 
-def _eval_ae_cell(train_vecs, test_vecs, variant, k, cfg: BenchmarkConfig, seed):
-    """Train one model, evaluate every bound on the test fold."""
+def _ae_round_trip(train_X, variant, k, cfg: BenchmarkConfig, seed):
+    """Train one model on the training rows; its round trip goes through a packet."""
     cost_cfg = CostConfig(variant=variant, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
-    n = len(train_vecs[0])
-    model, _ = train(train_vecs, n, k, cost_cfg, cfg.optimizer, seed)
-    out = {}
-    for bound in cfg.bounds:
-        cell = _CellResult()
-        t0 = time.perf_counter()
-        for p in test_vecs:
-            pkt = codec.compress(p, model, bound)
-            q = codec.decompress(pkt, model)
-            bc, br = codec.packet_size_bits(pkt, n, k)
-            cell.add_window(p.entries, q, bc, br)
-        cell.wall_time = time.perf_counter() - t0
-        out[bound] = cell
-    return out
+    n = train_X.shape[1]
+    model, _ = train(train_X, n, k, cost_cfg, cfg.optimizer, seed)
+
+    def round_trip(p, bound):
+        pkt = codec.compress(p, model, bound)
+        return (codec.decompress(pkt, model), *codec.packet_size_bits(pkt, n, k))
+
+    return round_trip
 
 
-def _eval_baseline_cell(method, train_vecs, test_vecs, k, cfg: BenchmarkConfig):
-    n = len(test_vecs[0])
+def _patched(p, recon, bound, bits_code):
+    """A transform coder's reconstruction plus the residual patch that bounds it."""
+    n = p.shape[0]
+    code = residual.residual_code(p - recon, bound)
+    return recon + residual.residual_decode(code, n), bits_code, n + 32 * code.count
+
+
+def _baseline_round_trip(train_X, method, k):
+    """The method's round trip; PCA fits its basis on the training rows here."""
+    n = train_X.shape[1]
+    if method == "ltc":
+        def round_trip(p, bound):
+            segs = baselines.ltc_compress(p, bound)
+            return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
+    elif method == "lzw":
+        def round_trip(p, bound):
+            blob = baselines.lzw_truncated_compress(p, bound)
+            return baselines.lzw_truncated_decompress(blob, n), baselines.lzw_code_bits(blob), 0
+    elif method == "pca":
+        basis = baselines.pca_fit(train_X, k)
+
+        def round_trip(p, bound):
+            recon = baselines.pca_decompress(baselines.pca_compress(p, basis), basis)
+            return _patched(p, recon, bound, 32 * k)
+    else:  # dct
+        idx_bits = max(1, math.ceil(math.log2(n)))
+
+        def round_trip(p, bound):
+            recon = baselines.dct_decompress(baselines.dct_compress(p, k), n)
+            return _patched(p, recon, bound, k * (32 + idx_bits))
+    return round_trip
+
+
+def _eval_cell(round_trip, test_X, bounds):
+    """Tally every test row's `round_trip(p, bound) -> (q, bits_code, bits_residual)`, per bound."""
     out = {}
-    basis = None
-    if method == "pca":
-        basis = baselines.pca_fit(train_vecs, k)
-    for bound in cfg.bounds:
+    for bound in bounds:
         cell = _CellResult()
         t0 = time.perf_counter()
-        for p in test_vecs:
-            series = p.entries
-            if method == "ltc":
-                segs = baselines.ltc_compress(series, bound)
-                q = baselines.ltc_decompress(segs)
-                cell.add_window(series, q, baselines.ltc_bits(segs), 0)
-            elif method == "lzw":
-                blob = baselines.lzw_truncated_compress(series, bound)
-                q = baselines.lzw_truncated_decompress(blob, n)
-                cell.add_window(series, q, baselines.lzw_code_bits(blob), 0)
-            elif method == "pca":
-                coeffs = baselines.pca_compress(series, basis)
-                recon = baselines.pca_decompress(coeffs, basis)
-                code = residual.residual_code(series - recon, bound)
-                q = recon + residual.residual_decode(code, n)
-                cell.add_window(series, q, 32 * k, n + 32 * code.count)
-            elif method == "dct":
-                pairs = baselines.dct_compress(series, k)
-                recon = baselines.dct_decompress(pairs, n)
-                code = residual.residual_code(series - recon, bound)
-                q = recon + residual.residual_decode(code, n)
-                idx_bits = max(1, math.ceil(math.log2(n)))
-                cell.add_window(series, q, k * (32 + idx_bits), n + 32 * code.count)
+        for p in test_X:
+            q, bits_code, bits_residual = round_trip(p, bound)
+            cell.add_window(p, q, bits_code, bits_residual)
         cell.wall_time = time.perf_counter() - t0
         out[bound] = cell
     return out
@@ -194,8 +201,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
     for fold in rotations:
         test_idx = split.indices_of(fold)
         train_idx = np.nonzero(split.fold_assignment != fold)[0]
-        train_vecs = [windows[i] for i in train_idx]
-        test_vecs = [windows[i] for i in test_idx]
+        train_X, test_X = windows[train_idx], windows[test_idx]
         for vi, variant in enumerate(cfg.variants):
             for k in cfg.k_list:
                 for rep in range(cfg.repetitions):
@@ -205,8 +211,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
                         (
                             (0, variant, k, fold, rep),
                             label,
-                            lambda tv=train_vecs, sv=test_vecs, v=variant, kk=k, s=seed: _eval_ae_cell(
-                                tv, sv, v, kk, cfg, s
+                            lambda tx=train_X, sx=test_X, v=variant, kk=k, s=seed: _eval_cell(
+                                _ae_round_trip(tx, v, kk, cfg, s), sx, cfg.bounds
                             ),
                         )
                     )
@@ -218,8 +224,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
                     (
                         (1, method, k, fold, 0),
                         label,
-                        lambda tv=train_vecs, sv=test_vecs, m=method, kk=k: _eval_baseline_cell(
-                            m, tv, sv, kk, cfg
+                        lambda tx=train_X, sx=test_X, m=method, kk=k: _eval_cell(
+                            _baseline_round_trip(tx, m, kk), sx, cfg.bounds
                         ),
                     )
                 )

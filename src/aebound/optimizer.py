@@ -252,20 +252,15 @@ def train(
     opts: LbfgsOptions,
     seed: int,
 ) -> tuple[autoencoder.ModelParams, TrainingTrace]:
-    """Fit autoencoder weights on raw window vectors.
+    """Fit autoencoder weights on a (B, n) batch of raw windows.
 
     Estimates the global sphering scale from `data`, normalizes, minimizes the
     configured cost with L-BFGS, and returns the parameters with the scale
     attached. Deterministic given identical inputs and seed.
     """
-    vectors = [np.asarray(getattr(x, "entries", x), dtype=np.float64) for x in data]
-    if not vectors:
-        raise ValueError("training data is empty")
-    for v in vectors:
-        if v.shape != (n,):
-            raise ValueError(f"training vector has shape {v.shape}, expected ({n},)")
-    sigma = sphering.estimate_sigma(vectors)
-    X = sphering.normalize(np.stack(vectors), sigma)
+    raw = autoencoder._stack(data, n)
+    sigma = sphering.estimate_sigma(raw)
+    X = sphering.normalize(raw, sigma)
 
     theta0 = autoencoder.init_params(n, k, seed, sigma=sigma)
     x0 = autoencoder.flatten_params(theta0)

@@ -43,7 +43,7 @@ def residual_code(r, bound: float) -> ResidualCode:
     r = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual vector contains non-finite entries")
-    if bound < 0:
+    if not bound >= 0:  # also rejects NaN, which would patch nothing
         raise ValueError(f"bound must be nonnegative, got {bound}")
     indicator = np.abs(r) > bound
     return ResidualCode(indicator=indicator, values=r[indicator])

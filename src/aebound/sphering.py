@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataVector
 from .errors import DegenerateDataError
 
 
@@ -25,12 +24,6 @@ class SpheringScale:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-
-
-def _as_array(p) -> np.ndarray:
-    if isinstance(p, DataVector):
-        return p.entries
-    return np.asarray(p, dtype=np.float64)
 
 
 def _centered(arr: np.ndarray) -> np.ndarray:
@@ -47,13 +40,14 @@ def _centered(arr: np.ndarray) -> np.ndarray:
 def estimate_sigma(training) -> SpheringScale:
     """Population standard deviation of all per-vector-centered training entries.
 
-    `training` is an iterable of vectors; a (B, n) batch iterates its rows.
+    `training` is a (B, n) batch, or a sequence of B length-n vectors.
     """
-    centered = [_centered(_as_array(p)) for p in training]
-    if not centered:
+    X = np.asarray(training, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a batch (B, n), got shape {X.shape}")
+    if X.shape[0] == 0:
         raise ValueError("training set is empty")
-    pooled = np.concatenate(centered)
-    sigma = float(np.sqrt(np.mean(pooled**2)))  # centered entries have zero mean per vector pool
+    sigma = float(np.sqrt(np.mean(_centered(X) ** 2)))  # each row has zero mean once centered
     if sigma == 0.0:
         raise DegenerateDataError("all centered training entries are zero")
     return SpheringScale(sigma=sigma)
@@ -61,7 +55,7 @@ def estimate_sigma(training) -> SpheringScale:
 
 def normalize(p, sigma: SpheringScale) -> np.ndarray:
     """Map a raw vector, or each row of a (B, n) batch, into [0.1, 0.9] with 3-sigma truncation."""
-    arr = _as_array(p)
+    arr = np.asarray(p, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("input contains non-finite entries")
     s3 = 3.0 * sigma.sigma

@@ -88,6 +88,37 @@ class TestCompressDecompress:
                          "--bound", "2.0", "--out", large]) == 0
         assert os.path.getsize(large) <= os.path.getsize(small)
 
+    def test_nan_bound_fails(self, tiny_config, tmp_path):
+        model_path = str(tmp_path / "m.aeb")
+        cli.main(["train", "--config", tiny_config, "--seed", "1", "--out", model_path])
+        packets = tmp_path / "p.bin"
+        assert cli.main(["compress", "--model", model_path, "--input", write_csv(tmp_path),
+                         "--bound", "nan", "--out", str(packets), "--verify"]) != 0
+        assert not packets.exists()
+
+    def test_lossy_bound_on_lossless_model_roundtrips(self, tiny_config, tmp_path):
+        model_path = str(tmp_path / "m.aeb")
+        assert cli.main(["train", "--config", tiny_config, "--seed", "1", "--set", "bounds", "0",
+                         "--out", model_path]) == 0
+        csv_path = write_csv(tmp_path)
+        packets, out_csv = str(tmp_path / "p.bin"), str(tmp_path / "rec.csv")
+        assert cli.main(["compress", "--model", model_path, "--input", csv_path,
+                         "--bound", "0.3", "--out", packets, "--verify"]) == 0
+        assert cli.main(["decompress", "--model", model_path, "--packets", packets, "--out", out_csv]) == 0
+        windows = dataset.make_windows(dataset.load_csv(csv_path, dataset.CsvSchema("t")), "temporal", 12)
+        recon = np.loadtxt(out_csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        assert recon.shape == windows.shape
+        assert np.max(np.abs(recon - windows)) <= 0.3
+
+    def test_lossless_bound_on_lossy_model_is_usage_error(self, tiny_config, tmp_path, capsys):
+        model_path = str(tmp_path / "m.aeb")
+        cli.main(["train", "--config", tiny_config, "--seed", "1", "--out", model_path])
+        packets = tmp_path / "p.bin"
+        assert cli.main(["compress", "--model", model_path, "--input", write_csv(tmp_path),
+                         "--bound", "0", "--out", str(packets)]) == 2
+        assert not packets.exists()
+        assert "lossless" in capsys.readouterr().err
+
     def test_truncated_packet_file(self, tiny_config, tmp_path, capsys):
         model_path = str(tmp_path / "m.aeb")
         cli.main(["train", "--config", tiny_config, "--seed", "1", "--out", model_path])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,21 @@ class TestModelFile:
         path = tmp_path / "model.aeb"
         codec.save_model(model, 0.1, path)
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            codec.load_model(path)
+
+    # header: magic (4 bytes), u16 version, u32 n, u32 k, f64 sigma at 14, f64 bound at 22
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(14, np.nan), (14, 0.0), (14, -1.0), (14, np.inf), (22, np.nan), (22, -1.0), (22, np.inf)],
+        ids=["sigma-nan", "sigma-0", "sigma-neg", "sigma-inf", "bound-nan", "bound-neg", "bound-inf"],
+    )
+    def test_bad_header_value(self, model, tmp_path, offset, value):
+        path = tmp_path / "model.aeb"
+        codec.save_model(model, 0.1, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, offset, value)
+        path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             codec.load_model(path)
 

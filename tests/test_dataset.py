@@ -79,15 +79,43 @@ class TestFillMissing:
 class TestMakeWindows:
     def test_exact_tiling(self):
         out = dataset.make_windows(matrix([[1, 2, 3, 4, 5, 6]]), "temporal", 3, 3)
-        assert len(out) == 2
-        np.testing.assert_array_equal(out[0].entries, [1, 2, 3])
-        assert out[0].origin == ("temporal", 0, 0)
+        np.testing.assert_array_equal(out, [[1, 2, 3], [4, 5, 6]])
 
     def test_spatial_23_sensors(self):
         m = dataset.synth_dataset(23, 5, seed=0)
         out = dataset.make_windows(m, "spatial", 23)
-        assert len(out) == 5
-        assert all(len(v) == 23 for v in out)
+        assert out.shape == (5, 23)
+
+    def test_spatial_rows_are_matrix_columns(self):
+        m = matrix(np.random.default_rng(1).normal(size=(4, 9)))
+        out = dataset.make_windows(m, "spatial", 4)
+        for t in range(m.n_steps):
+            assert np.array_equal(out[t], m.values[:, t])
+
+    def test_rows_match_brute_force_slices(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            sensors = int(rng.integers(1, 5))
+            steps = int(rng.integers(1, 40))
+            n = int(rng.integers(1, steps + 1))
+            stride = int(rng.integers(1, 6))
+            m = matrix(rng.normal(size=(sensors, steps)))
+            brute = [
+                m.values[s, start : start + n]
+                for s in range(sensors)
+                for start in range(0, steps - n + 1, stride)
+            ]
+            assert np.array_equal(dataset.make_windows(m, "temporal", n, stride), np.array(brute))
+
+    @pytest.mark.parametrize(
+        "mode, n, stride", [("temporal", 3, 3), ("temporal", 4, 2), ("temporal", 6, 1), ("spatial", 2, None)]
+    )
+    def test_fresh_float64_c_contiguous_array(self, mode, n, stride):
+        m = matrix([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
+        out = dataset.make_windows(m, mode, n, stride)
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, m.values)
 
     def test_window_too_large(self):
         with pytest.raises(WindowError):

@@ -2,8 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aebound import autoencoder as ae, baselines, codec, harness
 from aebound.errors import FormatError
 from aebound.residual import ResidualCode, residual_code, residual_decode
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: residual_code(np.ones(8), b),
+        lambda b: codec.compress(np.arange(8.0), ae.init_params(8, 3, seed=0), b),
+        lambda b: baselines.ltc_compress(np.arange(8.0), b),
+        lambda b: baselines.lzw_truncated_compress(np.arange(8.0), b),
+        lambda b: harness.BenchmarkConfig(bounds=(0.1, b)),
+    ],
+    ids=["residual_code", "codec.compress", "ltc_compress", "lzw_truncated_compress", "BenchmarkConfig"],
+)
+def test_nan_bound_rejected(call):
+    with pytest.raises(ValueError, match="nan"):
+        call(float("nan"))
 
 
 class TestResidualCode:
