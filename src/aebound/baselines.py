@@ -262,6 +262,8 @@ class LinearBasisModel:
 def pca_fit(training, k: int) -> LinearBasisModel:
     """Top-k right singular vectors of the mean-centered training matrix."""
     X = np.asarray(training, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a (B, n) training matrix, got shape {X.shape}")
     if X.shape[0] < k:
         raise ValueError(f"need at least k={k} training vectors, got {X.shape[0]}")
     mean = X.mean(axis=0)

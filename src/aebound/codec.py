@@ -6,11 +6,18 @@ the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
 so float quantization can never break the error bound. Residual values go on
 the wire as 32-bit floats, except in lossless mode (bound = 0, agreed at the
 model level) where they are 64-bit.
+
+The codec works on batches: `compress_batch` encodes a (B, n) window matrix
+into one `Packets`, `decompress_batch` decodes it, and packet streams are
+written and read whole. `compress`/`decompress` and
+`serialize_packet`/`deserialize_packet` are the one-packet cases of the
+same code, so a batch row is bit-identical to the packet of that row alone.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,26 +58,72 @@ class Packet:
         )
 
 
-def _wire_reconstruction(y32: np.ndarray, m32: np.float32, model: ModelParams) -> np.ndarray:
-    """Reconstruction from wire-precision code and mean, in float64 arithmetic.
+@dataclass(frozen=True, eq=False)
+class Packets:
+    """B compressed vectors as arrays: codes y, means m, one residual code.
+
+    The residual code runs over the B*n readings in row-major order, so its
+    values are the per-packet values concatenated.
+    """
+
+    y: np.ndarray  # float32, (B, k)
+    m: np.ndarray  # float32, (B,)
+    eps: ResidualCode
+
+    def __post_init__(self):
+        y = np.asarray(self.y, dtype=np.float32)
+        m = np.asarray(self.m, dtype=np.float32)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "m", m)
+        if y.ndim != 2 or m.shape != y.shape[:1]:
+            raise FormatError(f"codes {y.shape} and means {m.shape} must be (B, k) and (B,)")
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __iter__(self) -> Iterator[Packet]:
+        """The rows, one `Packet` each."""
+        count = len(self)
+        indicator = self.eps.indicator.reshape(count, self.eps.indicator.shape[0] // max(count, 1))
+        start = 0
+        for i, row in enumerate(indicator):
+            end = start + int(row.sum())
+            yield Packet(y=self.y[i], m=self.m[i], eps=ResidualCode(row, self.eps.values[start:end]))
+            start = end
+
+
+def _one(packet: Packet) -> Packets:
+    return Packets(y=packet.y[None], m=np.reshape(packet.m, 1), eps=packet.eps)
+
+
+def _matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i is `w @ X[i]`, bit for bit.
+
+    A stacked matrix-vector product runs the same kernel as the one-vector
+    product; `X @ w.T` runs a matrix-matrix kernel whose sums can differ in
+    the last bit, and encoder and decoder must agree on every bit.
+    """
+    return np.matmul(w, X[:, :, None])[:, :, 0]
+
+
+def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -> np.ndarray:
+    """Reconstructions (B, n) from wire-precision codes (B, k) and means (B,), in float64.
 
     Bitwise identical on both sides of the link because the inputs are the
     quantized values and the computation order is fixed.
     """
-    z = sigmoid(model.w_dec @ y32.astype(np.float64) + model.b_dec)
-    return denormalize(z, float(m32), model.sigma)
+    z = sigmoid(_matvecs(model.w_dec, y32.astype(np.float64)) + model.b_dec)
+    return denormalize(z, m32.astype(np.float64)[:, None], model.sigma)
 
 
 def _exact_residuals(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Residuals r with q + r == p exactly in float64 (lossless mode).
 
-    p - q can round, leaving the decoder one ulp off; walk the residual a few
-    ulps until the addition reproduces p bit-exactly.
+    p - q can round, leaving the decoder one ulp off; walk those residuals a
+    few ulps until the addition reproduces p bit-exactly.
     """
     r = p - q
-    for i in range(r.shape[0]):
-        if q[i] + r[i] == p[i]:
-            continue
+    for i in np.flatnonzero(q + r != p).tolist():
         fixed = False
         for direction in (np.inf, -np.inf):
             cand = r[i]
@@ -90,92 +143,145 @@ def _exact_residuals(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r
 
 
-def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packet:
-    """Encode one raw vector into a packet honoring the error bound."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (model.n,):
-        raise ValueError(f"input shape {p.shape} != ({model.n},)")
-    if not np.all(np.isfinite(p)):
+def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
+    """Encode each row of a (B, n) batch into a packet honoring the error bound.
+
+    Row i is bit-identical to `compress(P[i])`.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] != model.n:
+        raise ValueError(f"input shape {P.shape} != (B, {model.n})")
+    if not np.all(np.isfinite(P)):
         raise ValueError("input contains non-finite entries")
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if wide_residuals is None:
         wide_residuals = bound == 0.0
 
-    m = float(p.mean())
-    x = normalize(p, model.sigma)
-    y = sigmoid(model.w_enc @ x + model.b_enc)
-    y32 = y.astype(np.float32)
-    m32 = np.float32(m)
-    q = _wire_reconstruction(y32, m32, model)
+    m32 = (np.add.reduce(P, axis=1) / model.n).astype(np.float32)  # the bits of `p.mean()`
+    y32 = sigmoid(_matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
+    p = P.ravel()
+    q = _wire_reconstruction(y32, m32, model).ravel()
 
     code = residual_code(p - q, bound)
-    idx = np.nonzero(code.indicator)[0]
+    patched = code.indicator
     if wide_residuals:
-        values = _exact_residuals(p[idx], q[idx])
+        values = _exact_residuals(p[patched], q[patched])
     else:
         values = code.values.astype(np.float32)
-        err = np.abs(p[idx] - (q[idx] + values.astype(np.float64)))
+        err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
         if not np.all(np.isfinite(values)) or np.any(err > bound):
             raise PrecisionError(
                 "32-bit residual quantization exceeds the bound; "
                 "use lossless mode (bound=0) or a larger bound"
             )
-    eps = ResidualCode(indicator=code.indicator, values=values)
-    return Packet(y=y32, m=m32, eps=eps)
+    return Packets(y=y32, m=m32, eps=ResidualCode(indicator=patched, values=values))
+
+
+def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packet:
+    """Encode one raw vector into a packet honoring the error bound."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (model.n,):
+        raise ValueError(f"input shape {p.shape} != ({model.n},)")
+    batch = compress_batch(p[None], model, bound, wide_residuals)
+    return Packet(y=batch.y[0], m=batch.m[0], eps=batch.eps)
+
+
+def _check_shapes(packets: Packets, n: int, k: int) -> None:
+    if packets.y.shape[1] != k:
+        raise FormatError(f"code length {packets.y.shape[1]} != model k {k}")
+    if packets.eps.indicator.shape[0] != len(packets) * n:
+        raise FormatError(
+            f"indicator length {packets.eps.indicator.shape[0]} != {len(packets)} packets x model n {n}"
+        )
+
+
+def decompress_batch(packets: Packets, model: ModelParams) -> np.ndarray:
+    """Decode B packets back to a (B, n) array of readings."""
+    _check_shapes(packets, model.n, model.k)
+    q = _wire_reconstruction(packets.y, packets.m, model)
+    q += residual_decode(packets.eps, len(packets) * model.n).reshape(q.shape)
+    return q
 
 
 def decompress(packet: Packet, model: ModelParams) -> np.ndarray:
     """Decode a packet back to a length-n reading vector."""
-    if packet.y.shape != (model.k,):
-        raise FormatError(f"code length {packet.y.shape[0]} != model k {model.k}")
-    if packet.eps.indicator.shape[0] != model.n:
-        raise FormatError(
-            f"indicator length {packet.eps.indicator.shape[0]} != model n {model.n}"
-        )
-    q = _wire_reconstruction(packet.y, packet.m, model)
-    r = residual_decode(packet.eps, model.n)
-    return q + r
+    return decompress_batch(_one(packet), model)[0]
+
+
+def _stream_bytes(packets: Packets, n: int, k: int, wide_residuals: bool) -> np.ndarray:
+    """Packets in the wire layout, each prefixed by its u32 LE byte count.
+
+    Packet body: k x f32 code, f32 mean, ceil(n/8) indicator bytes
+    (LSB-first), then one float per set bit in ascending index order (f64 in
+    lossless mode), all little-endian.
+    """
+    _check_shapes(packets, n, k)
+    count = len(packets)
+    value_size = 8 if wide_residuals else 4
+    indicator = packets.eps.indicator.reshape(count, n)
+    value_bytes = value_size * indicator.sum(axis=1)
+    heads = np.concatenate([
+        (4 * k + 4 + (n + 7) // 8 + value_bytes).astype("<u4")[:, None].view(np.uint8),
+        packets.y.astype("<f4").view(np.uint8),
+        packets.m.astype("<f4")[:, None].view(np.uint8),
+        np.packbits(indicator, axis=1, bitorder="little"),
+    ], axis=1)
+    # each packet is its head (prefix, code, mean, indicator), then its values
+    in_head = np.repeat(
+        np.tile([True, False], count),
+        np.column_stack([np.full(count, heads.shape[1]), value_bytes]).ravel(),
+    )
+    out = np.empty(in_head.shape[0], dtype=np.uint8)
+    out[in_head] = heads.ravel()
+    out[~in_head] = packets.eps.values.astype("<f8" if wide_residuals else "<f4").view(np.uint8)
+    return out
+
+
+def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_residuals: bool) -> Packets:
+    """Inverse of `_stream_bytes`, given each packet's body length from its prefix.
+
+    `data` holds exactly the prefixes and bodies; the first bad body is named
+    by its packet index.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    base = 4 * k + 4 + (n + 7) // 8
+    value_size = 8 if wide_residuals else 4
+    short = np.flatnonzero(lengths < base)
+    whole = int(short[0]) if short.size else len(lengths)  # packets with a whole head
+    # each packet is its prefix, its head (code, mean, indicator), then its values
+    part = np.repeat(
+        np.tile(np.arange(3, dtype=np.uint8), whole),
+        np.column_stack([np.full(whole, 4), np.full(whole, base), lengths[:whole] - base]).ravel(),
+    )
+    data = data[: part.shape[0]]
+    heads = data[part == 1].reshape(whole, base)
+    indicator = np.unpackbits(heads[:, 4 * k + 4:], axis=1, count=n, bitorder="little").astype(bool)
+    expected = base + value_size * indicator.sum(axis=1)
+    wrong = np.flatnonzero(lengths[:whole] != expected)
+    if wrong.size:
+        i = int(wrong[0])
+        raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
+    if whole < len(lengths):
+        raise FormatError(f"packet {whole}: truncated: {lengths[whole]} bytes, need at least {base}")
+    values = data[part == 2].view("<f8" if wide_residuals else "<f4")
+    return Packets(
+        y=heads[:, : 4 * k].copy().view("<f4"),
+        m=heads[:, 4 * k: 4 * k + 4].copy().view("<f4")[:, 0],
+        eps=ResidualCode(indicator=indicator.ravel(), values=values),
+    )
 
 
 def serialize_packet(packet: Packet, n: int, k: int, wide_residuals: bool = False) -> bytes:
-    """Bit-exact little-endian wire layout.
-
-    k x f32 code, f32 mean, ceil(n/8) indicator bytes (LSB-first), then one
-    float per set bit in ascending index order (f64 in lossless mode).
-    """
-    if packet.y.shape != (k,):
-        raise FormatError(f"code length {packet.y.shape[0]} != {k}")
-    if packet.eps.indicator.shape[0] != n:
-        raise FormatError(f"indicator length {packet.eps.indicator.shape[0]} != {n}")
-    parts = [
-        packet.y.astype("<f4").tobytes(),
-        np.float32(packet.m).astype("<f4").tobytes(),
-        np.packbits(packet.eps.indicator, bitorder="little").tobytes(),
-        packet.eps.values.astype("<f8" if wide_residuals else "<f4").tobytes(),
-    ]
-    return b"".join(parts)
+    """Bit-exact little-endian wire layout of one packet (see `_stream_bytes`)."""
+    return _stream_bytes(_one(packet), n, k, wide_residuals)[4:].tobytes()
 
 
 def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packet:
     """Inverse of serialize_packet; rejects truncated or oversized buffers."""
-    ind_bytes = (n + 7) // 8
-    base = 4 * k + 4 + ind_bytes
-    if len(data) < base:
-        raise FormatError(f"packet truncated: {len(data)} bytes, need at least {base}")
-    y = np.frombuffer(data, dtype="<f4", count=k)
-    m = np.frombuffer(data, dtype="<f4", count=1, offset=4 * k)[0]
-    raw_ind = np.frombuffer(data, dtype=np.uint8, count=ind_bytes, offset=4 * k + 4)
-    indicator = np.unpackbits(raw_ind, bitorder="little")[:n].astype(bool)
-    count = int(indicator.sum())
-    value_size = 8 if wide_residuals else 4
-    expected = base + value_size * count
-    if len(data) != expected:
-        raise FormatError(f"packet length {len(data)} != expected {expected}")
-    values = np.frombuffer(
-        data, dtype="<f8" if wide_residuals else "<f4", count=count, offset=base
-    )
-    return Packet(y=y.copy(), m=np.float32(m), eps=ResidualCode(indicator=indicator, values=values.copy()))
+    stream = np.frombuffer(struct.pack("<I", len(data)) + bytes(data), dtype=np.uint8)
+    (packet,) = _parse_stream(stream, [len(data)], n, k, wide_residuals)
+    return packet
 
 
 def packet_size_bits(packet: Packet, n: int, k: int) -> tuple[int, int]:
@@ -188,42 +294,43 @@ def packet_size_bits(packet: Packet, n: int, k: int) -> tuple[int, int]:
     return 32 * k + 32, n + value_bits * packet.eps.count
 
 
-def write_packet_stream(packets, n: int, k: int, path, wide_residuals: bool = False) -> None:
+def write_packet_stream(packets: Packets, n: int, k: int, path, wide_residuals: bool = False) -> None:
     """Write packets length-prefixed (u32 LE byte count) to a file."""
+    data = _stream_bytes(packets, n, k, wide_residuals)
     with open(path, "wb") as fh:
-        for pkt in packets:
-            blob = serialize_packet(pkt, n, k, wide_residuals)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+        fh.write(data)
 
 
-def read_packet_stream(path, n: int, k: int, wide_residuals: bool = False) -> list[Packet]:
+def read_packet_stream(path, n: int, k: int, wide_residuals: bool = False) -> Packets:
     """Read a length-prefixed packet stream; names the failing packet index."""
-    packets = []
     with open(path, "rb") as fh:
-        index = 0
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) < 4:
-                raise FormatError(f"packet {index}: truncated length prefix")
-            (length,) = struct.unpack("<I", head)
-            blob = fh.read(length)
-            if len(blob) < length:
-                raise FormatError(f"packet {index}: truncated body ({len(blob)}/{length} bytes)")
-            try:
-                packets.append(deserialize_packet(blob, n, k, wide_residuals))
-            except FormatError as exc:
-                raise FormatError(f"packet {index}: {exc}") from exc
-            index += 1
+        data = fh.read()
+    unpack_length = struct.Struct("<I").unpack_from
+    lengths = []
+    offset, size, walk_error = 0, len(data), None
+    while offset < size:
+        if size - offset < 4:
+            walk_error = f"packet {len(lengths)}: truncated length prefix"
+            break
+        (length,) = unpack_length(data, offset)
+        if size - offset - 4 < length:
+            walk_error = f"packet {len(lengths)}: truncated body ({size - offset - 4}/{length} bytes)"
+            break
+        lengths.append(length)
+        offset += 4 + length
+    packets = _parse_stream(np.frombuffer(data, dtype=np.uint8, count=offset), lengths, n, k, wide_residuals)
+    if walk_error is not None:  # only after every earlier packet parsed
+        raise FormatError(walk_error)
     return packets
 
 
 def save_model(model: ModelParams, bound: float, path) -> None:
     """Persist parameters, sigma, and the default bound; 64-bit floats throughout."""
+    bound = float(bound)
+    if not (np.isfinite(bound) and bound >= 0):  # load_model would refuse the file
+        raise ValueError(f"model default bound must be nonnegative and finite, got {bound}")
     header = MODEL_MAGIC + struct.pack(
-        "<HIIdd", MODEL_VERSION, model.n, model.k, model.sigma.sigma, float(bound)
+        "<HIIdd", MODEL_VERSION, model.n, model.k, model.sigma.sigma, bound
     )
     with open(path, "wb") as fh:
         fh.write(header)

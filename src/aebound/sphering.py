@@ -65,7 +65,10 @@ def normalize(p, sigma: SpheringScale) -> np.ndarray:
     return np.clip(0.5 + (0.4 / s3) * centered, 0.1, 0.9)
 
 
-def denormalize(x, m: float, sigma: SpheringScale) -> np.ndarray:
-    """Inverse of `normalize` (up to truncated outliers) given the vector mean."""
+def denormalize(x, m, sigma: SpheringScale) -> np.ndarray:
+    """Inverse of `normalize` (up to truncated outliers) given the vector mean.
+
+    For a (B, n) batch, `m` is the (B, 1) column of row means.
+    """
     arr = np.asarray(x, dtype=np.float64)
     return (3.0 * sigma.sigma / 0.4) * (arr - 0.5) + m

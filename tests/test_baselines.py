@@ -127,6 +127,10 @@ class TestTruncatedLzw:
 
 
 class TestPca:
+    def test_vector_rejected_with_shape(self):
+        with pytest.raises(ValueError, match=r"\(B, n\)"):
+            baselines.pca_fit(np.arange(8.0), 2)
+
     def test_exact_subspace(self):
         rng = np.random.default_rng(6)
         basis = np.linalg.qr(rng.normal(size=(6, 2)))[0].T  # 2 x 6 orthonormal

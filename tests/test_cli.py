@@ -1,9 +1,13 @@
+import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
-from aebound import cli, dataset, harness, metrics
+from aebound import cli, codec, dataset, harness, metrics
+from aebound.autoencoder import ModelParams
+from aebound.sphering import SpheringScale
 
 pytestmark = pytest.mark.filterwarnings("ignore:code dimension")
 
@@ -41,6 +45,28 @@ def write_csv(tmp_path, steps=60, sensors=2, seed=0):
         for j, t in enumerate(m.timestamps):
             fh.write(f"{t}," + ",".join(repr(float(v)) for v in m.values[:, j]) + "\n")
     return str(path)
+
+
+def _seeded_inputs(tmp_path, default_bound):
+    """A seeded 5-sensor CSV and a seeded n=5, k=2 model file; returns their paths."""
+    rng = np.random.default_rng(2024)
+    sensors, steps, k = 5, 120, 2
+    t = np.arange(steps)
+    values = (15.0 + rng.uniform(-0.5, 0.5, (sensors, 1)) + np.sin(2 * np.pi * t / 17 + rng.uniform(0, 6, (sensors, 1)))
+              + rng.normal(0, 0.05, (sensors, steps)))
+    csv_path = tmp_path / "readings.csv"
+    with open(csv_path, "w") as fh:
+        fh.write("t," + ",".join(f"s{i}" for i in range(sensors)) + "\n")
+        for j, row in enumerate(values.T.tolist()):
+            fh.write(f"{1000 + 60 * j}," + ",".join(map(repr, row)) + "\n")
+    model = ModelParams(
+        w_enc=rng.normal(0, 0.5, (k, sensors)), b_enc=rng.normal(0, 0.1, k),
+        w_dec=rng.normal(0, 0.5, (sensors, k)), b_dec=rng.normal(0, 0.1, sensors),
+        n=sensors, k=k, sigma=SpheringScale(1.5),
+    )
+    model_path = tmp_path / "m.aeb"
+    codec.save_model(model, default_bound, model_path)
+    return csv_path, model_path
 
 
 class TestTrain:
@@ -132,6 +158,21 @@ class TestCompressDecompress:
                          "--out", out_csv]) == 1
         assert "packet" in capsys.readouterr().err
 
+    def test_reports_patch_rate_and_bits_per_reading(self, tmp_path, capsys):
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)
+        packets = tmp_path / "p.bin"
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
+                         "--out", str(packets)]) == 0
+        found = re.search(r"patched ([\d.]+)% of (\d+) readings, ([\d.]+) bits per reading written",
+                          capsys.readouterr().out)
+        assert found is not None
+        rate, readings, bits = float(found[1]), int(found[2]), float(found[3])
+        model, _ = codec.load_model(model_path)
+        indicator = codec.read_packet_stream(packets, model.n, model.k).eps.indicator
+        assert readings == indicator.size == 5 * 120
+        assert rate == pytest.approx(100 * indicator.mean(), abs=0.005)
+        assert bits == pytest.approx(8 * packets.stat().st_size / readings, abs=0.0005)
+
 
 class TestBench:
     def test_smoke_rows_and_consistency(self, tiny_config, tmp_path):
@@ -202,3 +243,25 @@ class TestHarnessFailureHandling:
         by_method = {r.method.split("(")[0]: r for r in rows}
         assert by_method["LTC"].status == "ok"
         assert by_method["PCA"].status.startswith("failed")
+
+
+class TestGoldenOutputs:
+    """Pinned sha256 digests of the stream and CSV that `compress`/`decompress` write."""
+
+    @pytest.mark.parametrize("mode, default_bound, digests", [
+        ("temporal", 0.6, ("abcfada201343e6eb64259f17e6dd69c5004efc5f5aff7e2aa0dc7150f0d104a",
+                           "f0195f2c4f41046279546178286977e1d2902aca4dafa4cb15783a828dae3d9a")),
+        ("temporal", 0.0, ("6acf77498271305d4ca8ce1f5fe7defc3511ba061731f89e840a830e27204139",
+                           "386158fba45578dd5b975c7043709dca5d19419b8b2f43c3502ef83adb3f1cdc")),
+        ("spatial", 0.6, ("d5a775d0ec6898502dae6002e7453d8e00b4db10f7fbf1cb2f1edfee9e204847",
+                          "06d2fc7642a39a65543f7f0ad58b043bc922dca812913ec74d18fea5f8cca571")),
+    ], ids=["temporal-lossy", "temporal-lossless", "spatial-lossy"])
+    def test_output_digests(self, tmp_path, mode, default_bound, digests):
+        csv_path, model_path = _seeded_inputs(tmp_path, default_bound)
+        packets, recon = tmp_path / "p.bin", tmp_path / "rec.csv"
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
+                         "--mode", mode, "--out", str(packets)]) == 0
+        assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
+                         "--out", str(recon)]) == 0
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (packets, recon)) == digests
+

@@ -2,11 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aebound import autoencoder as ae, codec
+from aebound import autoencoder as ae, codec, dataset
 from aebound.errors import FormatError, UnsupportedVersionError
 from aebound.residual import ResidualCode
-from aebound.sphering import SpheringScale
+from aebound.sphering import SpheringScale, normalize
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def model():
     )
 
 
-def random_packet(rng, n, k, n_resid=None):
+def random_packet(rng, n, k, n_resid=None, wide=False):
     if n_resid is None:
         n_resid = int(rng.integers(0, n + 1))
     indicator = np.zeros(n, dtype=bool)
@@ -26,8 +27,14 @@ def random_packet(rng, n, k, n_resid=None):
     return codec.Packet(
         y=rng.uniform(0, 1, k).astype(np.float32),
         m=np.float32(rng.normal()),
-        eps=ResidualCode(indicator=indicator, values=rng.normal(size=n_resid).astype(np.float32)),
+        eps=ResidualCode(indicator=indicator,
+                         values=rng.normal(size=n_resid).astype(np.float64 if wide else np.float32)),
     )
+
+
+def stream_of(blobs) -> bytes:
+    """Packet bodies joined with their u32 length prefixes."""
+    return b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs)
 
 
 class TestCompressDecompress:
@@ -204,6 +211,13 @@ class TestModelFile:
         with pytest.raises(FormatError):
             codec.load_model(path)
 
+    @pytest.mark.parametrize("bound", [np.nan, -1.0, np.inf])
+    def test_bad_bound_not_saved(self, model, tmp_path, bound):
+        path = tmp_path / "model.aeb"
+        with pytest.raises(ValueError, match="bound"):
+            codec.save_model(model, bound, path)
+        assert not path.exists()
+
     # header: magic (4 bytes), u16 version, u32 n, u32 k, f64 sigma at 14, f64 bound at 22
     @pytest.mark.parametrize(
         "offset, value",
@@ -223,17 +237,132 @@ class TestModelFile:
 class TestPacketStream:
     def test_roundtrip(self, model, tmp_path):
         rng = np.random.default_rng(10)
-        packets = [codec.compress(rng.normal(0, 3, 8), model, 0.2) for _ in range(7)]
+        packets = codec.compress_batch(rng.normal(0, 3, (7, 8)), model, 0.2)
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, 8, 3, path)
         back = codec.read_packet_stream(path, 8, 3)
-        assert back == packets
+        assert len(back) == 7 and list(back) == list(packets)
 
     def test_truncated_stream_names_packet_index(self, model, tmp_path):
         rng = np.random.default_rng(11)
-        packets = [codec.compress(rng.normal(0, 3, 8), model, 0.2) for _ in range(3)]
+        packets = codec.compress_batch(rng.normal(0, 3, (3, 8)), model, 0.2)
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, 8, 3, path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="packet 2"):
             codec.read_packet_stream(path, 8, 3)
+
+
+def reference_compress(p, model, bound, wide):
+    """The per-vector encoder written out with one-vector matrix products."""
+    m32 = np.float32(p.mean())
+    y32 = ae.sigmoid(model.w_enc @ normalize(p, model.sigma) + model.b_enc).astype(np.float32)
+    q = reference_reconstruction(y32, m32, model)
+    indicator = np.abs(p - q) > bound
+    if wide:
+        values = codec._exact_residuals(p[indicator], q[indicator])
+    else:
+        values = (p - q)[indicator].astype(np.float32)
+    return codec.Packet(y=y32, m=m32, eps=ResidualCode(indicator=indicator, values=values))
+
+
+def reference_reconstruction(y32, m32, model):
+    z = ae.sigmoid(model.w_dec @ y32.astype(np.float64) + model.b_dec)
+    return (3.0 * model.sigma.sigma / 0.4) * (z - 0.5) + float(m32)
+
+
+class TestBatchParity:
+    """The batch path against the per-vector codec, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["temporal", "spatial"])
+    @pytest.mark.parametrize("bound", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    def test_rows_stream_and_decode(self, tmp_path, mode, bound, count):
+        rng = np.random.default_rng([count, int(100 * bound), mode == "spatial"])
+        n, k = (6, 2) if mode == "spatial" else (16, 4)
+        matrix = dataset.synth_dataset(6, 3000, seed=int(rng.integers(1000)))
+        P = dataset.make_windows(matrix, mode, n)[:count]
+        theta = ae.init_params(n, k, seed=int(rng.integers(1000)))
+        model = ae.ModelParams(w_enc=theta.w_enc, b_enc=theta.b_enc, w_dec=theta.w_dec,
+                               b_dec=theta.b_dec, n=n, k=k, sigma=SpheringScale(float(rng.uniform(0.5, 4))))
+        wide = bound == 0.0
+
+        packets = codec.compress_batch(P, model, bound, wide)
+        rows = list(packets)
+        assert len(packets) == len(rows) == count
+        assert rows == [codec.compress(p, model, bound, wide) for p in P]
+        assert rows == [reference_compress(p, model, bound, wide) for p in P]
+
+        path = tmp_path / "packets.bin"
+        codec.write_packet_stream(packets, n, k, path, wide)
+        assert path.read_bytes() == stream_of(codec.serialize_packet(pkt, n, k, wide) for pkt in rows)
+
+        decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k, wide), model)
+        one_by_one = np.array([codec.decompress(pkt, model) for pkt in rows])
+        reference = np.array([reference_reconstruction(pkt.y, pkt.m, model)
+                              + codec.residual_decode(pkt.eps, n) for pkt in rows])
+        assert np.array_equal(decoded.view(np.uint64), one_by_one.view(np.uint64))
+        assert np.array_equal(decoded.view(np.uint64), reference.view(np.uint64))
+        assert np.max(np.abs(decoded - P)) <= bound
+
+    def test_empty_batch(self, model, tmp_path):
+        packets = codec.compress_batch(np.empty((0, 8)), model, 0.1)
+        path = tmp_path / "packets.bin"
+        codec.write_packet_stream(packets, 8, 3, path)
+        assert path.read_bytes() == b""
+        back = codec.read_packet_stream(path, 8, 3)
+        assert len(back) == 0 and list(back) == []
+        assert codec.decompress_batch(back, model).shape == (0, 8)
+
+    def test_wrong_width_rejected(self, model):
+        with pytest.raises(ValueError, match="input shape"):
+            codec.compress_batch(np.zeros((4, 7)), model, 0.1)
+        with pytest.raises(ValueError, match="input shape"):
+            codec.compress_batch(np.zeros(8), model, 0.1)
+
+
+class TestFuzz:
+    """Arbitrary or corrupted bytes make the readers raise FormatError and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=120), n=st.integers(1, 20), k=st.integers(1, 6), wide=st.booleans())
+    def test_deserialize_packet(self, data, n, k, wide):
+        try:
+            packet = codec.deserialize_packet(data, n, k, wide)
+        except FormatError:
+            return
+        assert len(codec.serialize_packet(packet, n, k, wide)) == len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=300), n=st.integers(1, 20), k=st.integers(1, 6), wide=st.booleans())
+    def test_read_packet_stream(self, tmp_path_factory, data, n, k, wide):
+        path = tmp_path_factory.mktemp("fuzz") / "packets.bin"
+        path.write_bytes(data)
+        try:
+            packets = codec.read_packet_stream(path, n, k, wide)
+        except FormatError:
+            return
+        codec.write_packet_stream(packets, n, k, path, wide)
+        assert path.stat().st_size == len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), n=st.integers(1, 20),
+           k=st.integers(1, 6), wide=st.booleans(), cut=st.booleans())
+    def test_first_bad_packet_named(self, tmp_path_factory, seed, count, n, k, wide, cut):
+        rng = np.random.default_rng(seed)
+        blobs = [codec.serialize_packet(random_packet(rng, n, k, wide=wide), n, k, wide)
+                 for _ in range(count)]
+        bad = int(rng.integers(count))
+        start = sum(4 + len(blob) for blob in blobs[:bad])
+        data = bytearray(stream_of(blobs))
+        if cut:  # end the file inside the bad packet
+            data = data[: start + int(rng.integers(1, 4 + len(blobs[bad])))]
+        else:  # give the bad packet a wrong length prefix: any, a little long, one short
+            true_length = len(blobs[bad])
+            length = [int(rng.integers(0, 2**32 - 1)), true_length + int(rng.integers(1, 9)),
+                      true_length - 1][int(rng.integers(3))]
+            struct.pack_into("<I", data, start, length + (length == true_length))
+        path = tmp_path_factory.mktemp("fuzz") / "packets.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=rf"^packet {bad}: "):
+            codec.read_packet_stream(path, n, k, wide)
