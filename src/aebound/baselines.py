@@ -102,15 +102,19 @@ def ltc_bits(segments: list[LtcSegment]) -> int:
 # ---------------------------------------------------------------------------
 
 _DICT_LIMIT = 4096
+_BYTES = [bytes([i]) for i in range(256)]
+_ENCODE_ROOTS = {b: i for i, b in enumerate(_BYTES)}  # copied per table, not rebuilt
+_DECODE_ROOTS = dict(enumerate(_BYTES))
 
 
 def _lzw_encode(data: bytes) -> list[int]:
-    table = {bytes([i]): i for i in range(256)}
+    table = _ENCODE_ROOTS.copy()
     nxt = 256
     codes: list[int] = []
     w = b""
     for byte in data:
-        wc = w + bytes([byte])
+        c = _BYTES[byte]
+        wc = w + c
         if wc in table:
             w = wc
             continue
@@ -119,9 +123,9 @@ def _lzw_encode(data: bytes) -> list[int]:
             table[wc] = nxt
             nxt += 1
         else:
-            table = {bytes([i]): i for i in range(256)}
+            table = _ENCODE_ROOTS.copy()
             nxt = 256
-        w = bytes([byte])
+        w = c
     if w:
         codes.append(table[w])
     return codes
@@ -130,7 +134,7 @@ def _lzw_encode(data: bytes) -> list[int]:
 def _lzw_decode(codes: list[int]) -> bytes:
     if not codes:
         return b""
-    table = {i: bytes([i]) for i in range(256)}
+    table = _DECODE_ROOTS.copy()
     nxt = 256
     first = codes[0]
     if first not in table:
@@ -149,28 +153,31 @@ def _lzw_decode(codes: list[int]) -> bytes:
             table[nxt] = w + entry[:1]
             nxt += 1
         else:
-            table = {i: bytes([i]) for i in range(256)}
+            table = _DECODE_ROOTS.copy()
             nxt = 256
         w = entry
     return b"".join(out)
 
 
+def _to_bits(words: np.ndarray, width: int) -> np.ndarray:
+    """The low `width` bits of each nonnegative word, MSB first, as one flat 0/1 array."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return ((words.astype(np.uint64).reshape(-1, 1) >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of `_to_bits`: rows of `width` bits, MSB first, back to uint64 words."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits.reshape(-1, width).astype(np.uint64) << shifts, axis=1)
+
+
 def _pack_codes(codes: list[int]) -> bytes:
-    bits = np.zeros(12 * len(codes), dtype=np.uint8)
-    for i, code in enumerate(codes):
-        for b in range(12):
-            bits[12 * i + b] = (code >> (11 - b)) & 1
-    return np.packbits(bits).tobytes()
+    return np.packbits(_to_bits(np.asarray(codes, dtype=np.int64), 12)).tobytes()
 
 
 def _unpack_codes(data: bytes) -> list[int]:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    n_codes = bits.shape[0] // 12
-    codes = []
-    for i in range(n_codes):
-        chunk = bits[12 * i : 12 * i + 12]
-        codes.append(int(chunk @ (1 << np.arange(11, -1, -1))))
-    return codes
+    return _from_bits(bits[: 12 * (bits.shape[0] // 12)], 12).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +185,18 @@ def _unpack_codes(data: bytes) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+_MAX_FRACTION_BITS = 24
+_MAX_WIDTH = 63  # sign + integer + fraction bits of one reading, so a reading fits an int64
+
+
 def _fraction_bits(bound: float) -> int:
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if bound == 0.0:
-        return 24  # lossless intent; quantization still limits precision to 2^-24
-    return min(24, max(0, math.ceil(math.log2(1.0 / (2.0 * bound)))))
+        return _MAX_FRACTION_BITS  # lossless intent; quantization still limits precision to 2^-24
+    if bound >= 0.5:
+        return 0  # rounding to integers already errs by at most 0.5; log2 of 1/inf fails
+    return min(_MAX_FRACTION_BITS, max(0, math.ceil(math.log2(1.0 / (2.0 * bound)))))
 
 
 def lzw_truncated_compress(p, bound: float, integer_bits: int = 16) -> bytes:
@@ -197,24 +210,23 @@ def lzw_truncated_compress(p, bound: float, integer_bits: int = 16) -> bytes:
     if not np.all(np.isfinite(p)):
         raise ValueError("input contains non-finite entries")
     f = _fraction_bits(bound)
+    width = 1 + integer_bits + f
+    if integer_bits < 0 or width > _MAX_WIDTH:
+        raise ValueError(
+            f"integer_bits must be in [0, {_MAX_WIDTH - 1 - f}] with {f} fraction bits, got {integer_bits}"
+        )
     scale = 1 << f
-    q = np.rint(p * scale).astype(np.int64)
-    limit = (1 << (integer_bits + f)) - 1
-    if np.any(np.abs(q) > limit):
+    rounded = np.rint(p * scale)
+    # |q| <= 2^(integer_bits + f) - 1, checked on the floats: casting one beyond int64 would wrap
+    if np.any(np.abs(rounded) >= 2.0 ** (integer_bits + f)):
+        limit = (1 << (integer_bits + f)) - 1
         raise RangeError(
             f"reading outside fixed-point range +-{limit / scale} "
             f"(integer_bits={integer_bits}, fraction_bits={f})"
         )
-    width = 1 + integer_bits + f
-    bits = np.zeros(width * q.shape[0], dtype=np.uint8)
-    for i, qi in enumerate(q):
-        mag = int(abs(qi))
-        off = width * i
-        bits[off] = 1 if qi < 0 else 0
-        for b in range(integer_bits + f):
-            bits[off + 1 + b] = (mag >> (integer_bits + f - 1 - b)) & 1
-    payload = np.packbits(bits).tobytes()
-    codes = _lzw_encode(payload)
+    q = rounded.astype(np.int64)
+    words = (q < 0).astype(np.int64) << (width - 1) | np.abs(q)
+    codes = _lzw_encode(np.packbits(_to_bits(words, width)).tobytes())
     return bytes([f, integer_bits]) + _pack_codes(codes)
 
 
@@ -225,20 +237,20 @@ def lzw_truncated_decompress(data: bytes, count: int) -> np.ndarray:
     if len(data) < 2:
         raise FormatError("missing truncated-LZW header")
     f, integer_bits = data[0], data[1]
-    payload = _lzw_decode(_unpack_codes(data[2:]))
     width = 1 + integer_bits + f
+    if f > _MAX_FRACTION_BITS or width > _MAX_WIDTH:
+        raise FormatError(
+            f"header fraction_bits={f}, integer_bits={integer_bits}: need at most "
+            f"{_MAX_FRACTION_BITS} fraction bits and a {_MAX_WIDTH}-bit width"
+        )
+    payload = _lzw_decode(_unpack_codes(data[2:]))
     need_bytes = (width * count + 7) // 8
     if len(payload) < need_bytes:
         raise FormatError(f"LZW payload too short: {len(payload)} bytes, need {need_bytes}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    out = np.empty(count)
-    scale = float(1 << f)
-    for i in range(count):
-        off = width * i
-        sign = -1.0 if bits[off] else 1.0
-        mag = int(bits[off + 1 : off + width] @ (1 << np.arange(width - 2, -1, -1)))
-        out[i] = sign * mag / scale
-    return out
+    words = _from_bits(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=width * count), width)
+    sign = np.where(words >> np.uint64(width - 1) != 0, -1.0, 1.0)
+    mag = words & np.uint64((1 << (width - 1)) - 1)
+    return sign * mag.astype(np.float64) / float(1 << f)
 
 
 def lzw_code_bits(data: bytes) -> int:
@@ -276,31 +288,62 @@ def pca_fit(training, k: int) -> LinearBasisModel:
     return LinearBasisModel(mean=mean, components=vt[:k], kind="pca")
 
 
+def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`w @ v` for one vector v (n,) or for each row v of a (B, n) batch.
+
+    Every row runs the one-vector (gemv) kernel, so a batch row keeps the
+    bits of its vector alone; `x @ w.T` would run gemm, whose sums differ.
+    """
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def pca_compress(p, model: LinearBasisModel) -> np.ndarray:
+    """Coefficients of one vector (n,), or of each row of a (B, n) batch."""
     p = np.asarray(p, dtype=np.float64)
-    return model.components @ (p - model.mean)
+    return _matvecs(model.components, p - model.mean)
 
 
 def pca_decompress(coeffs, model: LinearBasisModel) -> np.ndarray:
-    return model.mean + model.components.T @ np.asarray(coeffs, dtype=np.float64)
+    """Inverse of `pca_compress`, for (k,) or (B, k) coefficients."""
+    return model.mean + _matvecs(model.components.T, np.asarray(coeffs, dtype=np.float64))
+
+
+def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II of each row of a (B, n) batch; keep its k largest-magnitude coefficients.
+
+    Returns (B, k) coefficient indices, ascending per row, and their values.
+    Ties keep the lower index.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2:
+        raise ValueError(f"expected a (B, n) batch, got shape {P.shape}")
+    n = P.shape[1]
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} out of range [1, {n}]")
+    spectrum = _scipy_dct(P, norm="ortho", axis=-1)
+    idx = np.sort(np.argsort(-np.abs(spectrum), axis=1, kind="stable")[:, :k], axis=1)
+    return idx, np.take_along_axis(spectrum, idx, axis=1)
 
 
 def dct_compress(p, k: int) -> list[tuple[int, float]]:
-    """Orthonormal DCT-II; keep the k largest-magnitude coefficients."""
-    p = np.asarray(p, dtype=np.float64)
-    n = p.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range [1, {n}]")
-    spectrum = _scipy_dct(p, norm="ortho")
-    order = np.argsort(-np.abs(spectrum), kind="stable")[:k]
-    order = np.sort(order)
-    return [(int(i), float(spectrum[i])) for i in order]
+    """One vector's `dct_compress_batch`, as (index, value) pairs."""
+    idx, coeffs = dct_compress_batch(np.asarray(p, dtype=np.float64)[None], k)
+    return list(zip(idx[0].tolist(), coeffs[0].tolist()))
+
+
+def dct_decompress_batch(idx, coeffs, n: int) -> np.ndarray:
+    """Inverse DCT of each row's kept coefficients; (B, k) indices and values -> (B, n)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise FormatError(f"coefficient index {bad[0]} out of range [0, {n})")
+    spectrum = np.zeros((idx.shape[0], n))
+    np.put_along_axis(spectrum, idx, np.asarray(coeffs, dtype=np.float64), axis=1)
+    return _scipy_idct(spectrum, norm="ortho", axis=-1)
 
 
 def dct_decompress(pairs, n: int) -> np.ndarray:
-    spectrum = np.zeros(n)
-    for i, c in pairs:
-        if not (0 <= i < n):
-            raise FormatError(f"coefficient index {i} out of range [0, {n})")
-        spectrum[i] = c
-    return _scipy_idct(spectrum, norm="ortho")
+    """One vector's `dct_decompress_batch`, from (index, value) pairs."""
+    idx = np.array([[i for i, _ in pairs]], dtype=np.int64)
+    coeffs = np.array([[c for _, c in pairs]], dtype=np.float64)
+    return dct_decompress_batch(idx, coeffs, n)[0]

@@ -284,14 +284,18 @@ def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False
     return packet
 
 
+def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-packet (code bits, residual bits) as two (B,) arrays; the mean is charged to the code side."""
+    _check_shapes(packets, n, k)
+    value_bits = 64 if packets.eps.values.dtype == np.float64 else 32
+    patched = packets.eps.indicator.reshape(len(packets), n).sum(axis=1)
+    return np.full(len(packets), 32 * k + 32), n + value_bits * patched
+
+
 def packet_size_bits(packet: Packet, n: int, k: int) -> tuple[int, int]:
-    """(code bits, residual bits): mean is charged to the code side."""
-    if packet.y.shape != (k,):
-        raise FormatError(f"code length {packet.y.shape[0]} != {k}")
-    if packet.eps.indicator.shape[0] != n:
-        raise FormatError(f"indicator length {packet.eps.indicator.shape[0]} != {n}")
-    value_bits = 64 if packet.eps.values.dtype == np.float64 else 32
-    return 32 * k + 32, n + value_bits * packet.eps.count
+    """(code bits, residual bits) of one packet: its `packets_size_bits`."""
+    code, res = packets_size_bits(_one(packet), n, k)
+    return int(code[0]), int(res[0])
 
 
 def write_packet_stream(packets: Packets, n: int, k: int, path, wide_residuals: bool = False) -> None:

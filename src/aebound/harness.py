@@ -94,6 +94,11 @@ def load_windows(cfg: BenchmarkConfig) -> np.ndarray:
     return dataset.make_windows(matrix, cfg.mode, n, cfg.stride)
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """((0 + t0) + t1) + ... in row order: the bits of adding each term in a Python loop."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
 @dataclass
 class _CellResult:
     """Per-(method, bound) tallies for one harness cell."""
@@ -107,17 +112,22 @@ class _CellResult:
     rel_err_windows: int = 0
     wall_time: float = 0.0
 
-    def add_window(self, p: np.ndarray, q: np.ndarray, bits_code: int, bits_residual: int):
-        n = p.shape[0]
-        self.bits_code += bits_code
-        self.bits_residual += bits_residual
-        self.bits_raw += RAW_BITS_PER_READING * n
-        self.abs_err_sum += float(np.sum(np.abs(p - q)))
-        self.abs_err_count += n
-        denom = float(np.sum(p**2))
-        if denom > 0:
-            self.rel_err_sum += 100.0 * float(np.sum((p - q) ** 2)) / denom
-            self.rel_err_windows += 1
+    @classmethod
+    def of_batch(cls, P: np.ndarray, Q: np.ndarray, bits_code, bits_residual) -> "_CellResult":
+        """Tallies of the rows of P, reconstructed as Q, with their per-row bit counts."""
+        B, n = P.shape
+        denom = np.sum(P**2, axis=1)
+        windowed = denom > 0  # the relative error of an all-zero window is undefined
+        rel = 100.0 * np.sum((P - Q) ** 2, axis=1)[windowed] / denom[windowed]
+        return cls(
+            bits_code=int(np.sum(bits_code)),
+            bits_residual=int(np.sum(bits_residual)),
+            bits_raw=RAW_BITS_PER_READING * n * B,
+            abs_err_sum=_running_sum(np.sum(np.abs(P - Q), axis=1)),
+            abs_err_count=n * B,
+            rel_err_sum=_running_sum(rel),
+            rel_err_windows=int(np.count_nonzero(windowed)),
+        )
 
     def merge(self, other: "_CellResult"):
         self.bits_code += other.bits_code
@@ -131,60 +141,79 @@ class _CellResult:
 
 
 def _ae_round_trip(train_X, variant, k, cfg: BenchmarkConfig, seed):
-    """Train one model on the training rows; its round trip goes through a packet."""
+    """Train one model on the training rows; its round trip goes through packets."""
     cost_cfg = CostConfig(variant=variant, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
     n = train_X.shape[1]
     model, _ = train(train_X, n, k, cost_cfg, cfg.optimizer, seed)
 
-    def round_trip(p, bound):
-        pkt = codec.compress(p, model, bound)
-        return (codec.decompress(pkt, model), *codec.packet_size_bits(pkt, n, k))
+    def round_trip(P, bound):
+        packets = codec.compress_batch(P, model, bound)
+        return (codec.decompress_batch(packets, model), *codec.packets_size_bits(packets, n, k))
 
     return round_trip
 
 
-def _patched(p, recon, bound, bits_code):
-    """A transform coder's reconstruction plus the residual patch that bounds it."""
-    n = p.shape[0]
-    code = residual.residual_code(p - recon, bound)
-    return recon + residual.residual_decode(code, n), bits_code, n + 32 * code.count
+def _patched(P, recon, bound, bits_code):
+    """A transform coder's reconstructions plus the residual patches that bound them."""
+    code = residual.residual_code((P - recon).ravel(), bound)
+    patched = code.indicator.reshape(P.shape).sum(axis=1)
+    Q = recon + residual.residual_decode(code, P.size).reshape(P.shape)
+    return Q, np.full(P.shape[0], bits_code), P.shape[1] + 32 * patched
+
+
+def _row_by_row(one):
+    """Lift a one-window round trip `(p, bound) -> (q, bits_code, bits_residual)` to a batch."""
+
+    def round_trip(P, bound):
+        Q = np.empty_like(P)
+        bits = np.zeros((2, P.shape[0]), dtype=np.int64)
+        for i, p in enumerate(P):
+            Q[i], bits[0, i], bits[1, i] = one(p, bound)
+        return Q, bits[0], bits[1]
+
+    return round_trip
 
 
 def _baseline_round_trip(train_X, method, k):
-    """The method's round trip; PCA fits its basis on the training rows here."""
+    """The method's batch round trip; PCA fits its basis on the training rows here.
+
+    LTC and truncated LZW code each window as its own bitstream, so they run
+    row by row; PCA and DCT transform the whole batch at once.
+    """
     n = train_X.shape[1]
     if method == "ltc":
-        def round_trip(p, bound):
+        def one(p, bound):
             segs = baselines.ltc_compress(p, bound)
             return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
-    elif method == "lzw":
-        def round_trip(p, bound):
+
+        return _row_by_row(one)
+    if method == "lzw":
+        def one(p, bound):
             blob = baselines.lzw_truncated_compress(p, bound)
             return baselines.lzw_truncated_decompress(blob, n), baselines.lzw_code_bits(blob), 0
-    elif method == "pca":
+
+        return _row_by_row(one)
+    if method == "pca":
         basis = baselines.pca_fit(train_X, k)
 
-        def round_trip(p, bound):
-            recon = baselines.pca_decompress(baselines.pca_compress(p, basis), basis)
-            return _patched(p, recon, bound, 32 * k)
+        def round_trip(P, bound):
+            recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
+            return _patched(P, recon, bound, 32 * k)
     else:  # dct
         idx_bits = max(1, math.ceil(math.log2(n)))
 
-        def round_trip(p, bound):
-            recon = baselines.dct_decompress(baselines.dct_compress(p, k), n)
-            return _patched(p, recon, bound, k * (32 + idx_bits))
+        def round_trip(P, bound):
+            recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
+            return _patched(P, recon, bound, k * (32 + idx_bits))
     return round_trip
 
 
 def _eval_cell(round_trip, test_X, bounds):
-    """Tally every test row's `round_trip(p, bound) -> (q, bits_code, bits_residual)`, per bound."""
+    """Tally `round_trip(P, bound) -> (Q, bits_code[B], bits_residual[B])` over the test rows, per bound."""
     out = {}
     for bound in bounds:
-        cell = _CellResult()
         t0 = time.perf_counter()
-        for p in test_X:
-            q, bits_code, bits_residual = round_trip(p, bound)
-            cell.add_window(p, q, bits_code, bits_residual)
+        cell = _CellResult.of_batch(test_X, *round_trip(test_X, bound))
         cell.wall_time = time.perf_counter() - t0
         out[bound] = cell
     return out

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from aebound import baselines
+from aebound import baselines, codec, harness, residual
+from aebound.autoencoder import CostConfig
 from aebound.errors import FormatError, RangeError
+from aebound.optimizer import LbfgsOptions, train
 
 
 class TestLtc:
@@ -125,6 +128,199 @@ class TestTruncatedLzw:
         with pytest.raises(FormatError):
             baselines.lzw_truncated_decompress(corrupt, 50)
 
+    @pytest.mark.parametrize("bound", [math.inf, 1e308, 0.5, 7.0])
+    def test_loose_bound_needs_no_fraction_bits(self, bound):
+        assert baselines._fraction_bits(bound) == 0
+        p = np.array([1.2, -3.7, 0.49, 100.5])
+        back = baselines.lzw_truncated_decompress(baselines.lzw_truncated_compress(p, bound), 4)
+        assert np.array_equal(back, np.rint(p))
+
+    @pytest.mark.parametrize("header", [[24, 60], [25, 0], [255, 255], [24, 39]])
+    def test_header_beyond_writer_rejected(self, header):
+        # a blob whose payload is long enough for any width, under a header
+        # the compressor never writes (more than 24 fraction bits or 63 bits a reading)
+        blob = baselines.lzw_truncated_compress(np.full(64, 1.5), 0.0)
+        with pytest.raises(FormatError, match="header"):
+            baselines.lzw_truncated_decompress(bytes(header) + blob[2:], 64)
+
+    def test_widest_reading_roundtrips(self):
+        # 1 sign + 38 integer + 24 fraction bits = 63, the widest accepted
+        p = np.array([2.0**37 + 0.5, -(2.0**38 - 2.0**-14), 0.0])
+        blob = baselines.lzw_truncated_compress(p, 0.0, integer_bits=38)
+        assert np.array_equal(baselines.lzw_truncated_decompress(blob, 3), p)
+
+    @pytest.mark.parametrize("integer_bits, bound", [(39, 0.0), (63, 0.5), (-1, 0.1)])
+    def test_width_beyond_63_bits_rejected(self, integer_bits, bound):
+        with pytest.raises(ValueError, match="integer_bits"):
+            baselines.lzw_truncated_compress(np.array([1.0]), bound, integer_bits=integer_bits)
+
+    @pytest.mark.parametrize("reading", [1e30, -1e19, 2.0**16])
+    def test_reading_beyond_int64_or_range_rejected(self, reading):
+        # 1e30 used to wrap in the int64 cast and encode as 0
+        with pytest.raises(RangeError):
+            baselines.lzw_truncated_compress(np.array([0.0, reading]), 0.5)
+
+
+def _bytes_of(bits: list[int]) -> bytes:
+    """MSB-first bytes of a 0/1 list, zero-padded to a whole byte."""
+    bits = bits + [0] * (-len(bits) % 8)
+    return bytes(int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8))
+
+
+def _bits_of(data: bytes) -> list[int]:
+    return [(byte >> (7 - b)) & 1 for byte in data for b in range(8)]
+
+
+def _ref_pack_codes(codes):
+    return _bytes_of([(code >> (11 - b)) & 1 for code in codes for b in range(12)])
+
+
+def _ref_unpack_codes(data):
+    bits = _bits_of(data)
+    return [
+        sum(bit << (11 - j) for j, bit in enumerate(bits[12 * i : 12 * i + 12]))
+        for i in range(len(bits) // 12)
+    ]
+
+
+def _ref_truncated_compress(p, bound, integer_bits=16):
+    """Sign bit, then the magnitude MSB first, one reading at a time."""
+    f = baselines._fraction_bits(bound)
+    bits = []
+    for x in p:
+        q = int(np.rint(x * (1 << f)))
+        bits.append(1 if q < 0 else 0)
+        bits += [(abs(q) >> (integer_bits + f - 1 - b)) & 1 for b in range(integer_bits + f)]
+    payload = _bytes_of(bits)
+    return bytes([f, integer_bits]) + _ref_pack_codes(baselines._lzw_encode(payload))
+
+
+def _ref_truncated_decompress(blob, count):
+    f, integer_bits = blob[0], blob[1]
+    width = 1 + integer_bits + f
+    bits = _bits_of(baselines._lzw_decode(_ref_unpack_codes(blob[2:])))
+    out = []
+    for i in range(count):
+        word = bits[width * i : width * (i + 1)]
+        mag = sum(bit << (width - 2 - j) for j, bit in enumerate(word[1:]))
+        out.append((-1.0 if word[0] else 1.0) * mag / float(1 << f))
+    return np.array(out)
+
+
+class TestLzwBitParity:
+    """The array bit packers against per-bit references written out here."""
+
+    def test_code_packing_matches_reference(self):
+        rng = np.random.default_rng(20)
+        for size in [0, 1, 2, 3, 7, 64, 501]:
+            codes = [int(c) for c in rng.integers(0, 4096, size)]
+            if size:
+                codes[0], codes[-1] = 4095, 0
+            packed = baselines._pack_codes(codes)
+            assert packed == _ref_pack_codes(codes)
+            assert baselines._unpack_codes(packed) == _ref_unpack_codes(packed) == codes
+
+    def test_unpack_matches_reference_on_arbitrary_bytes(self):
+        rng = np.random.default_rng(21)
+        for size in range(0, 40):
+            data = bytes(rng.integers(0, 256, size, dtype=np.uint8))
+            assert baselines._unpack_codes(data) == _ref_unpack_codes(data)
+
+    @pytest.mark.parametrize("bound, fraction_bits", [(0.0, 24), (0.5, 0), (0.02, 5), (3.0, 0)])
+    @pytest.mark.parametrize("integer_bits", [16, 8])
+    def test_truncated_blobs_match_reference(self, bound, fraction_bits, integer_bits):
+        rng = np.random.default_rng(22 + fraction_bits + integer_bits)
+        top = (2.0 ** (integer_bits + fraction_bits) - 1) / 2.0**fraction_bits  # largest magnitude
+        for trial in range(20):
+            count = int(rng.integers(1, 40))
+            p = rng.uniform(-top, top, count) * rng.choice([1.0, 1e-3])
+            p[rng.integers(0, count)] = -0.0
+            p[rng.integers(0, count)] = rng.choice([top, -top])
+            assert baselines._fraction_bits(bound) == fraction_bits
+            blob = baselines.lzw_truncated_compress(p, bound, integer_bits)
+            assert blob == _ref_truncated_compress(p, bound, integer_bits)
+            back = baselines.lzw_truncated_decompress(blob, count)
+            assert back.view(np.uint64).tobytes() == _ref_truncated_decompress(blob, count).view(np.uint64).tobytes()
+            assert np.max(np.abs(back - p)) <= (bound if bound else 2.0**-25)
+
+    def test_negative_zero_decodes_as_positive_zero(self):
+        blob = baselines.lzw_truncated_compress(np.array([-0.0, -1e-9]), 0.1)
+        assert blob == _ref_truncated_compress([-0.0, -1e-9], 0.1)
+        assert np.signbit(baselines.lzw_truncated_decompress(blob, 2)).tolist() == [False, False]
+
+
+class TestHarnessBatchParity:
+    """Each harness round trip over a (B, n) matrix equals its rows run one at a time."""
+
+    K = 3
+    BOUNDS = (0.05, 0.5)
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        cfg = harness.BenchmarkConfig(sensors=4, steps=900, noise_sd=0.02, window=12, seed=5)
+        X = harness.load_windows(cfg)
+        return X[:120], X[120:]
+
+    @staticmethod
+    def _one_at_a_time(method, train_X, k):
+        """The per-window round trip `(p, bound) -> (q, bits_code, bits_residual)`, written out."""
+        n = train_X.shape[1]
+
+        def patched(p, recon, bound, bits_code):
+            code = residual.residual_code(p - recon, bound)
+            return recon + residual.residual_decode(code, n), bits_code, n + 32 * code.count
+
+        if method in ("ae", "wae"):
+            cfg = harness.BenchmarkConfig(optimizer=LbfgsOptions(max_iters=30))
+            cost_cfg = CostConfig(variant=method, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
+            model, _ = train(train_X, n, k, cost_cfg, cfg.optimizer, 11)
+
+            def one(p, bound):
+                pkt = codec.compress(p, model, bound)
+                return codec.decompress(pkt, model), *codec.packet_size_bits(pkt, n, k)
+        elif method == "ltc":
+            def one(p, bound):
+                segs = baselines.ltc_compress(p, bound)
+                return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
+        elif method == "lzw":
+            def one(p, bound):
+                blob = baselines.lzw_truncated_compress(p, bound)
+                return baselines.lzw_truncated_decompress(blob, n), baselines.lzw_code_bits(blob), 0
+        elif method == "pca":
+            basis = baselines.pca_fit(train_X, k)
+
+            def one(p, bound):
+                recon = basis.mean + basis.components.T @ (basis.components @ (p - basis.mean))
+                return patched(p, recon, bound, 32 * k)
+        else:
+            def one(p, bound):
+                spectrum = scipy.fft.dct(p, norm="ortho")
+                keep = np.zeros(n)
+                for i in np.argsort(-np.abs(spectrum), kind="stable")[:k]:
+                    keep[i] = spectrum[i]
+                idx_bits = math.ceil(math.log2(n))
+                return patched(p, scipy.fft.idct(keep, norm="ortho"), bound, k * (32 + idx_bits))
+        return one
+
+    @pytest.mark.parametrize("batch", [1, 7, 115])
+    @pytest.mark.parametrize("method", ["ae", "wae", "pca", "dct", "ltc", "lzw"])
+    def test_batch_equals_rows(self, windows, method, batch):
+        train_X, test_X = windows
+        if method in ("ae", "wae"):
+            cfg = harness.BenchmarkConfig(optimizer=LbfgsOptions(max_iters=30))
+            round_trip = harness._ae_round_trip(train_X, method, self.K, cfg, 11)
+        else:
+            round_trip = harness._baseline_round_trip(train_X, method, self.K)
+        one = self._one_at_a_time(method, train_X, self.K)
+        P = test_X[:batch]
+        for bound in self.BOUNDS:
+            Q, bits_code, bits_residual = round_trip(P, bound)
+            rows = [one(p, bound) for p in P]
+            assert Q.shape == P.shape
+            assert Q.view(np.uint64).tobytes() == np.stack([q for q, _, _ in rows]).view(np.uint64).tobytes()
+            assert np.asarray(bits_code).tolist() == [int(c) for _, c, _ in rows]
+            assert np.asarray(bits_residual).tolist() == [int(r) for _, _, r in rows]
+
 
 class TestPca:
     def test_vector_rejected_with_shape(self):
@@ -234,3 +430,11 @@ class TestDct:
             baselines.dct_compress(np.zeros(4), 5)
         with pytest.raises(ValueError):
             baselines.dct_compress(np.zeros(4), 0)
+
+    def test_batch_rejects_vector_and_bad_indices(self):
+        with pytest.raises(ValueError, match=r"\(B, n\)"):
+            baselines.dct_compress_batch(np.zeros(4), 2)
+        with pytest.raises(FormatError, match="index 16"):
+            baselines.dct_decompress([(3, 1.0), (16, 1.0)], 16)
+        with pytest.raises(FormatError, match="index -1"):
+            baselines.dct_decompress_batch(np.array([[0, 1], [-1, 2]]), np.ones((2, 2)), 4)

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestTrain:
         out2 = str(tmp_path / "m2.aeb")
         assert cli.main(["train", "--config", tiny_config, "--seed", "3", "--out", out1]) == 0
         assert cli.main(["train", "--config", tiny_config, "--seed", "3", "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_missing_dataset_path_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -178,7 +179,7 @@ class TestBench:
     def test_smoke_rows_and_consistency(self, tiny_config, tmp_path):
         outdir = str(tmp_path / "report")
         assert cli.main(["bench", "--config", tiny_config, "--seed", "5", "--out", outdir]) == 0
-        lines = open(os.path.join(outdir, "report.csv")).read().strip().splitlines()
+        lines = Path(outdir, "report.csv").read_text().strip().splitlines()
         assert lines[0] == harness.CSV_HEADER
         rows = lines[1:]
         # 3 methods (WAE, LTC, LZW) x 2 bounds
@@ -196,8 +197,8 @@ class TestBench:
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         assert cli.main(["bench", "--config", tiny_config, "--seed", "7", "--out", out1]) == 0
         assert cli.main(["bench", "--config", tiny_config, "--seed", "7", "--out", out2]) == 0
-        csv1 = open(os.path.join(out1, "report.csv"), "rb").read()
-        csv2 = open(os.path.join(out2, "report.csv"), "rb").read()
+        csv1 = Path(out1, "report.csv").read_bytes()
+        csv2 = Path(out2, "report.csv").read_bytes()
         # wall_time is the one legitimately varying column; strip it
         def strip_time(data):
             lines = data.decode().splitlines()
@@ -224,7 +225,7 @@ class TestBench:
         cli.main(["bench", "--config", tiny_config, "--seed", "9", "--out", out2])
 
         def rows_no_time(path):
-            lines = open(os.path.join(path, "report.csv")).read().splitlines()
+            lines = Path(path, "report.csv").read_text().splitlines()
             return [",".join(l.split(",")[:8] + l.split(",")[9:]) for l in lines]
 
         assert rows_no_time(out1) == rows_no_time(out2)
