@@ -268,7 +268,6 @@ def lzw_code_bits(data: bytes) -> int:
 class LinearBasisModel:
     mean: np.ndarray
     components: np.ndarray  # k x n, orthonormal rows
-    kind: str  # "pca" or "dct"
 
 
 def pca_fit(training, k: int) -> LinearBasisModel:
@@ -285,7 +284,7 @@ def pca_fit(training, k: int) -> LinearBasisModel:
     rank = int(np.sum(s > tol))
     if k > rank:
         raise ValueError(f"k={k} exceeds data rank {rank}")
-    return LinearBasisModel(mean=mean, components=vt[:k], kind="pca")
+    return LinearBasisModel(mean=mean, components=vt[:k])
 
 
 def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:

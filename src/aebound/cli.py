@@ -6,11 +6,11 @@ import argparse
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import codec, dataset, harness
-from .autoencoder import CostConfig
 from .errors import AeboundError, FormatError
 from .optimizer import LbfgsOptions, train as train_model
 
@@ -18,10 +18,11 @@ class UsageError(Exception):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
-_LIST_KEYS = {"k", "bounds", "variants", "baselines", "period_range", "amp_range"}
-_INT_KEYS = {"sensors", "steps", "window", "stride", "folds", "repetitions", "seed",
-             "fold_rotations", "history", "max_iters", "max_line_search_steps"}
-_FLOAT_KEYS = {"noise_sd", "beta", "eta", "rho", "grad_tol", "wolfe_c1", "wolfe_c2"}
+_ALIASES = {"k": "k_list", "baselines": "baseline_methods", "csv": "csv_path"}
+# config key -> type of the LbfgsOptions or BenchmarkConfig field it sets
+_OPTIMIZER_FIELDS = typing.get_type_hints(LbfgsOptions)
+_FIELDS = {**typing.get_type_hints(harness.BenchmarkConfig), **_OPTIMIZER_FIELDS}
+del _FIELDS["optimizer"]  # set through its own fields
 
 
 def parse_config_file(path) -> dict:
@@ -40,36 +41,28 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value: str):
-    if key in _LIST_KEYS:
-        items = [v.strip() for v in value.split(",") if v.strip()]
-        if key == "k":
-            return tuple(int(v) for v in items)
-        if key in ("bounds", "period_range", "amp_range"):
-            return tuple(float(v) for v in items)
-        return tuple(items)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+    """Parse a value as its field's type: `int | None` as int, a tuple as comma-separated items."""
+    hint = _FIELDS[key]
+    scalar = next((t for t in typing.get_args(hint) if t not in (type(None), Ellipsis)), hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(scalar(v.strip()) for v in value.split(",") if v.strip())
+    return scalar(value)
 
 
 def build_config(args) -> harness.BenchmarkConfig:
-    raw = parse_config_file(args.config) if args.config else {}
-    for key, value in (args.set or []):
-        raw[key] = value
-    cfg = {k: _coerce(k, v) if isinstance(v, str) else v for k, v in raw.items()}
-
-    opt_keys = {"history", "max_iters", "grad_tol", "wolfe_c1", "wolfe_c2", "max_line_search_steps"}
-    opts = LbfgsOptions(**{k: cfg.pop(k) for k in list(cfg) if k in opt_keys})
-
-    rename = {"k": "k_list", "baselines": "baseline_methods", "csv": "csv_path"}
-    kwargs = {rename.get(k, k): v for k, v in cfg.items() if k != "dataset"}
-    if cfg.get("dataset", "synth") == "csv" and "csv_path" not in kwargs:
+    pairs = list(parse_config_file(args.config).items()) if args.config else []
+    raw = {_ALIASES.get(key, key): value for key, value in pairs + (args.set or [])}  # --set wins
+    source = raw.pop("dataset", "synth")
+    unknown = sorted(set(raw) - set(_FIELDS))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    if source == "csv" and "csv_path" not in raw:
         raise UsageError("dataset=csv requires csv=<path>")
+    cfg = {k: _coerce(k, v) for k, v in raw.items()}
+    opts = LbfgsOptions(**{k: cfg.pop(k) for k in list(cfg) if k in _OPTIMIZER_FIELDS})
     if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return harness.BenchmarkConfig(optimizer=opts, **kwargs)
+        cfg["seed"] = args.seed
+    return harness.BenchmarkConfig(optimizer=opts, **cfg)
 
 
 def cmd_train(args) -> int:
@@ -78,8 +71,7 @@ def cmd_train(args) -> int:
     variant = cfg.variants[0]
     k = cfg.k_list[0]
     n = windows.shape[1]
-    cost_cfg = CostConfig(variant=variant, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
-    model, trace = train_model(windows, n, k, cost_cfg, cfg.optimizer, cfg.seed)
+    model, trace = train_model(windows, n, k, cfg.cost(variant), cfg.optimizer, cfg.seed)
     bound = cfg.bounds[0]
     codec.save_model(model, bound, args.out)
     print(

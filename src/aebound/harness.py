@@ -1,10 +1,11 @@
 """Benchmark harness: k-fold protocol, method sweeps, CSV reports, SVG plots.
 
-For each autoencoder cell (variant, k, fold rotation, repetition) a model is
-trained once and evaluated at every error bound, so compression-ratio curves
-over bounds share the same weights. Baselines run once per fold (they have no
-init randomness). Rows aggregate bits across all cells, so the reported CR is
-recomputable from the bit columns exactly.
+Every method runs through one cell loop. A cell (method, k, fold rotation,
+repetition) builds the method's round trip once, training an autoencoder or
+fitting PCA on the training rows, and evaluates it at every error bound, so
+compression-ratio curves over bounds share the same weights. Only autoencoder
+cells repeat: baselines have no init randomness. Rows aggregate bits across
+all cells, so the reported CR is recomputable from the bit columns exactly.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
 from . import baselines, codec, dataset, metrics, residual, svgplot
-from .autoencoder import CostConfig
+from .autoencoder import VARIANTS, CostConfig
 from .optimizer import LbfgsOptions, train
 
-AE_VARIANTS = ("ae", "wae", "sae")
 BASELINE_METHODS = ("ltc", "lzw", "pca", "dct")
 
 RAW_BITS_PER_READING = 32  # uncompressed readings counted as 32-bit floats
@@ -66,7 +66,7 @@ class BenchmarkConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for v in self.variants:
-            if v not in AE_VARIANTS:
+            if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
         for m in self.baseline_methods:
             if m not in BASELINE_METHODS:
@@ -74,6 +74,10 @@ class BenchmarkConfig:
         for b in self.bounds:
             if not b >= 0:  # also rejects NaN
                 raise ValueError(f"bounds must be nonnegative, got {b}")
+
+    def cost(self, variant: str) -> CostConfig:
+        """The training objective of one AE variant with this config's hyperparameters."""
+        return CostConfig(variant=variant, beta=self.beta, eta=self.eta, rho=self.rho)
 
 
 def _cell_seed(base: int, *parts: int) -> int:
@@ -115,42 +119,38 @@ class _CellResult:
     @classmethod
     def of_batch(cls, P: np.ndarray, Q: np.ndarray, bits_code, bits_residual) -> "_CellResult":
         """Tallies of the rows of P, reconstructed as Q, with their per-row bit counts."""
-        B, n = P.shape
-        denom = np.sum(P**2, axis=1)
-        windowed = denom > 0  # the relative error of an all-zero window is undefined
-        rel = 100.0 * np.sum((P - Q) ** 2, axis=1)[windowed] / denom[windowed]
+        rel = metrics.relative_errors(P, Q)
+        windowed = ~np.isnan(rel)  # the relative error of an all-zero window is undefined
         return cls(
             bits_code=int(np.sum(bits_code)),
             bits_residual=int(np.sum(bits_residual)),
-            bits_raw=RAW_BITS_PER_READING * n * B,
+            bits_raw=RAW_BITS_PER_READING * P.size,
             abs_err_sum=_running_sum(np.sum(np.abs(P - Q), axis=1)),
-            abs_err_count=n * B,
-            rel_err_sum=_running_sum(rel),
+            abs_err_count=P.size,
+            rel_err_sum=_running_sum(rel[windowed]),
             rel_err_windows=int(np.count_nonzero(windowed)),
         )
 
     def merge(self, other: "_CellResult"):
-        self.bits_code += other.bits_code
-        self.bits_residual += other.bits_residual
-        self.bits_raw += other.bits_raw
-        self.abs_err_sum += other.abs_err_sum
-        self.abs_err_count += other.abs_err_count
-        self.rel_err_sum += other.rel_err_sum
-        self.rel_err_windows += other.rel_err_windows
-        self.wall_time += other.wall_time
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-
-def _ae_round_trip(train_X, variant, k, cfg: BenchmarkConfig, seed):
-    """Train one model on the training rows; its round trip goes through packets."""
-    cost_cfg = CostConfig(variant=variant, beta=cfg.beta, eta=cfg.eta, rho=cfg.rho)
-    n = train_X.shape[1]
-    model, _ = train(train_X, n, k, cost_cfg, cfg.optimizer, seed)
-
-    def round_trip(P, bound):
-        packets = codec.compress_batch(P, model, bound)
-        return (codec.decompress_batch(packets, model), *codec.packets_size_bits(packets, n, k))
-
-    return round_trip
+    def row(self, label: str, bound: float, failure: str | None) -> metrics.EvalRow:
+        """The report row of a label's merged tallies; NaN errors if every cell failed."""
+        measured = self.abs_err_count > 0
+        status = "ok" if failure is None else ("partial:" if measured else "failed:") + failure
+        return metrics.EvalRow(
+            method=label,
+            epsilon_bound=bound,
+            cr=metrics.compression_ratio(self.bits_code, self.bits_residual, self.bits_raw) if measured else math.nan,
+            eps_abs=self.abs_err_sum / self.abs_err_count if measured else math.nan,
+            eps_rel=self.rel_err_sum / max(1, self.rel_err_windows) if measured else math.nan,
+            bits_code=self.bits_code,
+            bits_residual=self.bits_residual,
+            bits_raw=self.bits_raw,
+            wall_time=self.wall_time,
+            status=status,
+        )
 
 
 def _patched(P, recon, bound, bits_code):
@@ -174,37 +174,58 @@ def _row_by_row(one):
     return round_trip
 
 
-def _baseline_round_trip(train_X, method, k):
-    """The method's batch round trip; PCA fits its basis on the training rows here.
+@_row_by_row
+def _ltc(p, bound):
+    segs = baselines.ltc_compress(p, bound)
+    return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
 
-    LTC and truncated LZW code each window as its own bitstream, so they run
-    row by row; PCA and DCT transform the whole batch at once.
-    """
+
+@_row_by_row
+def _lzw(p, bound):
+    blob = baselines.lzw_truncated_compress(p, bound)
+    return baselines.lzw_truncated_decompress(blob, len(p)), baselines.lzw_code_bits(blob), 0
+
+
+def _pca(train_X, k):
+    basis = baselines.pca_fit(train_X, k)
+
+    def round_trip(P, bound):
+        recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
+        return _patched(P, recon, bound, 32 * k)
+
+    return round_trip
+
+
+def _dct(train_X, k):
     n = train_X.shape[1]
-    if method == "ltc":
-        def one(p, bound):
-            segs = baselines.ltc_compress(p, bound)
-            return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
+    idx_bits = max(1, math.ceil(math.log2(n)))
 
-        return _row_by_row(one)
-    if method == "lzw":
-        def one(p, bound):
-            blob = baselines.lzw_truncated_compress(p, bound)
-            return baselines.lzw_truncated_decompress(blob, n), baselines.lzw_code_bits(blob), 0
+    def round_trip(P, bound):
+        recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
+        return _patched(P, recon, bound, k * (32 + idx_bits))
 
-        return _row_by_row(one)
-    if method == "pca":
-        basis = baselines.pca_fit(train_X, k)
+    return round_trip
 
-        def round_trip(P, bound):
-            recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
-            return _patched(P, recon, bound, 32 * k)
-    else:  # dct
-        idx_bits = max(1, math.ceil(math.log2(n)))
 
-        def round_trip(P, bound):
-            recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
-            return _patched(P, recon, bound, k * (32 + idx_bits))
+# baseline -> (training rows, k) -> batch round trip; LTC and truncated LZW code
+# each window as its own bitstream, PCA and DCT transform the whole batch at once
+_BASELINES = {"ltc": lambda train_X, k: _ltc, "lzw": lambda train_X, k: _lzw, "pca": _pca, "dct": _dct}
+
+
+def _round_trip(method, train_X, k, cfg: BenchmarkConfig, seed):
+    """The method's batch round trip `(P, bound) -> (Q, bits_code[B], bits_residual[B])`.
+
+    It is built from the training rows: an AE variant trains its model there
+    from `seed` and goes through packets; PCA fits its basis there.
+    """
+    if method not in VARIANTS:
+        return _BASELINES[method](train_X, k)
+    model, _ = train(train_X, train_X.shape[1], k, cfg.cost(method), cfg.optimizer, seed)
+
+    def round_trip(P, bound):
+        packets = codec.compress_batch(P, model, bound)
+        return (codec.decompress_batch(packets, model), *codec.packets_size_bits(packets, model.n, model.k))
+
     return round_trip
 
 
@@ -225,100 +246,43 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
     split = dataset.split_folds(len(windows), cfg.folds, cfg.seed)
     rotations = range(cfg.folds if cfg.fold_rotations is None else min(cfg.fold_rotations, cfg.folds))
 
-    # cell task list; keys sort deterministically regardless of execution order
-    tasks = []  # (key, label, callable)
+    # (label, cell); a label's cells are listed in (fold, rep) order and merged
+    # in that order, whichever order they run in
+    tasks = []
     for fold in rotations:
         test_idx = split.indices_of(fold)
         train_idx = np.nonzero(split.fold_assignment != fold)[0]
         train_X, test_X = windows[train_idx], windows[test_idx]
-        for vi, variant in enumerate(cfg.variants):
-            for k in cfg.k_list:
-                for rep in range(cfg.repetitions):
-                    seed = _cell_seed(cfg.seed, vi, k, fold, rep)
-                    label = f"{variant.upper()}(k={k})"
+        for mi, method in enumerate((*cfg.variants, *cfg.baseline_methods)):
+            for k in (0,) if method in ("ltc", "lzw") else cfg.k_list:
+                label = f"{method.upper()}(k={k})" if k else method.upper()
+                for rep in range(cfg.repetitions if method in VARIANTS else 1):
+                    seed = _cell_seed(cfg.seed, mi, k, fold, rep)
                     tasks.append(
                         (
-                            (0, variant, k, fold, rep),
                             label,
-                            lambda tx=train_X, sx=test_X, v=variant, kk=k, s=seed: _eval_cell(
-                                _ae_round_trip(tx, v, kk, cfg, s), sx, cfg.bounds
+                            lambda m=method, kk=k, tx=train_X, sx=test_X, s=seed: _eval_cell(
+                                _round_trip(m, tx, kk, cfg, s), sx, cfg.bounds
                             ),
                         )
                     )
-        for method in cfg.baseline_methods:
-            ks = cfg.k_list if method in ("pca", "dct") else (0,)
-            for k in ks:
-                label = f"{method.upper()}(k={k})" if k else method.upper()
-                tasks.append(
-                    (
-                        (1, method, k, fold, 0),
-                        label,
-                        lambda tx=train_X, sx=test_X, m=method, kk=k: _eval_cell(
-                            _baseline_round_trip(tx, m, kk), sx, cfg.bounds
-                        ),
-                    )
-                )
 
     n_threads = int(os.environ.get("AEB_THREADS", "1"))
-    results: dict[tuple, object] = {}
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {key: pool.submit(_run_cell, fn) for key, _, fn in tasks}
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            outcomes = list(pool.map(_run_cell, [fn for _, fn in tasks]))
     else:
-        for key, _, fn in tasks:
-            results[key] = _run_cell(fn)
+        outcomes = [_run_cell(fn) for _, fn in tasks]
 
-    # deterministic aggregation order
-    agg: dict[tuple[str, float], _CellResult] = {}
-    failures: dict[tuple[str, float], str] = {}
-    labels = {key: label for key, label, _ in tasks}
-    for key in sorted(results):
-        label = labels[key]
-        outcome = results[key]
+    agg = {(label, bound): _CellResult() for label, _ in tasks for bound in cfg.bounds}
+    failures: dict[str, str] = {}  # label -> its first failed cell's error
+    for (label, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, Exception):
-            for bound in cfg.bounds:
-                failures.setdefault((label, bound), f"{type(outcome).__name__}: {outcome}")
+            failures.setdefault(label, f"{type(outcome).__name__}: {outcome}")
             continue
         for bound, cell in outcome.items():
-            agg.setdefault((label, bound), _CellResult()).merge(cell)
-
-    rows = []
-    seen = sorted(set(agg) | set(failures), key=lambda kb: (kb[0], kb[1]))
-    for label, bound in seen:
-        if (label, bound) in agg:
-            cell = agg[(label, bound)]
-            rows.append(
-                metrics.EvalRow(
-                    method=label,
-                    epsilon_bound=bound,
-                    cr=metrics.compression_ratio(cell.bits_code, cell.bits_residual, cell.bits_raw),
-                    eps_abs=cell.abs_err_sum / cell.abs_err_count,
-                    eps_rel=cell.rel_err_sum / max(1, cell.rel_err_windows),
-                    bits_code=cell.bits_code,
-                    bits_residual=cell.bits_residual,
-                    bits_raw=cell.bits_raw,
-                    wall_time=cell.wall_time,
-                    status="ok" if (label, bound) not in failures else "partial:" + failures[(label, bound)],
-                )
-            )
-        else:
-            rows.append(
-                metrics.EvalRow(
-                    method=label,
-                    epsilon_bound=bound,
-                    cr=float("nan"),
-                    eps_abs=float("nan"),
-                    eps_rel=float("nan"),
-                    bits_code=0,
-                    bits_residual=0,
-                    bits_raw=0,
-                    wall_time=0.0,
-                    status="failed:" + failures[(label, bound)],
-                )
-            )
-    return rows
+            agg[label, bound].merge(cell)
+    return [cell.row(label, bound, failures.get(label)) for (label, bound), cell in sorted(agg.items())]
 
 
 def _run_cell(fn):
@@ -344,7 +308,7 @@ def write_report(rows: list[metrics.EvalRow], cfg: BenchmarkConfig, outdir) -> N
         fh.write("\n".join(lines) + "\n")
 
     manifest = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "raw_bits_per_reading": RAW_BITS_PER_READING,
         "version": _package_version(),
@@ -356,32 +320,24 @@ def write_report(rows: list[metrics.EvalRow], cfg: BenchmarkConfig, outdir) -> N
     write_plots(rows, outdir)
 
 
+# x-axis row field, its label, chart title, file name; the y axis is the CR
+_PLOTS = (
+    ("eps_rel", "relative error (%)", "Compression ratio vs relative error", "cr_vs_eps_rel.svg"),
+    ("eps_abs", "mean absolute error", "Compression ratio vs mean absolute error", "cr_vs_eps_abs.svg"),
+    ("epsilon_bound", "error bound", "Error bound vs compression ratio", "bound_vs_cr.svg"),
+)
+
+
 def write_plots(rows: list[metrics.EvalRow], outdir) -> None:
     ok = [r for r in rows if r.status.startswith(("ok", "partial"))]
     by_method: dict[str, list[metrics.EvalRow]] = {}
     for r in ok:
         by_method.setdefault(r.method, []).append(r)
-    svgplot.line_chart(
-        {m: [(r.eps_rel, r.cr) for r in rs] for m, rs in by_method.items()},
-        "relative error (%)", "compression ratio (%)", "Compression ratio vs relative error",
-        os.path.join(outdir, "cr_vs_eps_rel.svg"),
-    )
-    svgplot.line_chart(
-        {m: [(r.eps_abs, r.cr) for r in rs] for m, rs in by_method.items()},
-        "mean absolute error", "compression ratio (%)", "Compression ratio vs mean absolute error",
-        os.path.join(outdir, "cr_vs_eps_abs.svg"),
-    )
-    svgplot.line_chart(
-        {m: [(r.epsilon_bound, r.cr) for r in rs] for m, rs in by_method.items()},
-        "error bound", "compression ratio (%)", "Error bound vs compression ratio",
-        os.path.join(outdir, "bound_vs_cr.svg"),
-    )
-
-
-def _config_dict(cfg: BenchmarkConfig) -> dict:
-    d = asdict(cfg)
-    d["optimizer"] = asdict(cfg.optimizer)
-    return d
+    for x, x_label, title, name in _PLOTS:
+        svgplot.line_chart(
+            {m: [(getattr(r, x), r.cr) for r in rs] for m, rs in by_method.items()},
+            x_label, "compression ratio (%)", title, os.path.join(outdir, name),
+        )
 
 
 def _package_version() -> str:

@@ -38,13 +38,25 @@ def mean_abs_error(p, q) -> float:
     return float(np.mean(np.abs(p - q)))
 
 
+def relative_errors(P, Q) -> np.ndarray:
+    """Percent, per row of a (B, n) batch: sum of squared differences over sum of squared readings.
+
+    A row whose readings are all zero has no relative error; its entry is NaN.
+    """
+    P, Q = _pair(P, Q)
+    if P.ndim != 2:
+        raise ValueError(f"expected (B, n) batches, got shape {P.shape}")
+    denom = np.sum(P**2, axis=1)
+    return np.divide(100.0 * np.sum((P - Q) ** 2, axis=1), denom, out=np.full(len(P), np.nan), where=denom > 0)
+
+
 def relative_error(p, q) -> float:
     """Percent: sum of squared differences over sum of squared readings."""
     p, q = _pair(p, q)
-    denom = float(np.sum(p**2))
-    if denom == 0.0:
+    (rel,) = relative_errors(p.reshape(1, -1), q.reshape(1, -1))
+    if np.isnan(rel):
         raise ValueError("relative error undefined for an all-zero reference")
-    return 100.0 * float(np.sum(np.abs(p - q) ** 2)) / denom
+    return float(rel)
 
 
 def compression_ratio(bits_code: int, bits_residual: int, bits_raw: int) -> float:

@@ -306,11 +306,8 @@ class TestHarnessBatchParity:
     @pytest.mark.parametrize("method", ["ae", "wae", "pca", "dct", "ltc", "lzw"])
     def test_batch_equals_rows(self, windows, method, batch):
         train_X, test_X = windows
-        if method in ("ae", "wae"):
-            cfg = harness.BenchmarkConfig(optimizer=LbfgsOptions(max_iters=30))
-            round_trip = harness._ae_round_trip(train_X, method, self.K, cfg, 11)
-        else:
-            round_trip = harness._baseline_round_trip(train_X, method, self.K)
+        cfg = harness.BenchmarkConfig(optimizer=LbfgsOptions(max_iters=30))
+        round_trip = harness._round_trip(method, train_X, self.K, cfg, 11)
         one = self._one_at_a_time(method, train_X, self.K)
         P = test_X[:batch]
         for bound in self.BOUNDS:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -229,6 +230,36 @@ class TestBench:
             return [",".join(l.split(",")[:8] + l.split(",")[9:]) for l in lines]
 
         assert rows_no_time(out1) == rows_no_time(out2)
+
+
+class TestConfigKeys:
+    @staticmethod
+    def _config(*pairs):
+        return cli.build_config(argparse.Namespace(config=None, set=[list(p) for p in pairs], seed=None))
+
+    @pytest.mark.parametrize("alias, name, value", [("k", "k_list", "3, 5"), ("baselines", "baseline_methods", "ltc, dct")])
+    def test_canonical_name_equals_alias(self, alias, name, value):
+        assert self._config((name, value)) == self._config((alias, value))
+
+    def test_bench_with_canonical_k_list(self, tiny_config, tmp_path):
+        outdir = tmp_path / "report"
+        assert cli.main(["bench", "--config", tiny_config, "--seed", "5", "--out", str(outdir),
+                         "--set", "k_list", "3", "--set", "baseline_methods", "ltc"]) == 0
+        rows = [line.split(",") for line in (outdir / "report.csv").read_text().splitlines()[1:]]
+        assert sorted({r[0] for r in rows}) == ["LTC", "WAE(k=3)"]
+        assert [r[9] for r in rows] == ["ok"] * 4
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_unknown_key_is_usage_error(self, tiny_config, tmp_path, capsys, where):
+        extra = []
+        if where == "file":
+            Path(tiny_config).write_text(TINY_CONFIG + "windw = 12\n")
+        else:
+            extra = ["--set", "windw", "12"]
+        outdir = tmp_path / "report"
+        assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), *extra]) == 2
+        assert "windw" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestHarnessFailureHandling:

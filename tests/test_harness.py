@@ -1,8 +1,9 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 
-from aebound import harness
+from aebound import dataset, harness
 from aebound.optimizer import LbfgsOptions
 
 GOLDEN_CONFIG = harness.BenchmarkConfig(
@@ -58,3 +59,25 @@ class TestCellTally:
     def test_empty_batch(self):
         cell = harness._CellResult.of_batch(np.zeros((0, 8)), np.zeros((0, 8)), [], [])
         assert cell == harness._CellResult()
+
+
+class TestPartialRows:
+    def test_failed_cell_leaves_surviving_tallies(self, monkeypatch):
+        """One cell of a label raises: its rows merge the other cells and say `partial:`."""
+        X = np.random.default_rng(4).normal(20.0, 3.0, (60, 8))
+        last = dataset.split_folds(len(X), 3, 0).indices_of(2)
+        X[last[0], 0] = 1e6  # beyond truncated LZW's fixed-point range: the last fold's LZW cell raises
+        monkeypatch.setattr(harness, "load_windows", lambda cfg: X)
+        cfg = harness.BenchmarkConfig(
+            bounds=(0.1, 0.5), variants=(), baseline_methods=("ltc", "lzw"), folds=3, repetitions=1, seed=0,
+        )
+        rows = {(r.method, r.epsilon_bound): r for r in harness.run_benchmark(cfg)}
+        survivors = harness.run_benchmark(dataclasses.replace(cfg, fold_rotations=2))
+        assert [r.status for r in survivors] == ["ok"] * 4
+        for expected in survivors:
+            row = rows[(expected.method, expected.epsilon_bound)]
+            if expected.method == "LTC":
+                assert row.status == "ok"
+                continue
+            assert row.status.startswith("partial:RangeError: reading outside fixed-point range")
+            assert dataclasses.replace(row, wall_time=0.0, status="ok") == dataclasses.replace(expected, wall_time=0.0)

@@ -44,6 +44,22 @@ class TestRelativeError:
             brute = 100.0 * sum(abs(a - b) ** 2 for a, b in zip(p, q)) / sum(a * a for a in p)
             assert abs(metrics.relative_error(p, q) - brute) <= 1e-9 * max(1.0, brute)
 
+    def test_batch_rows_equal_one_row(self):
+        """Each row of the batch form is the one-row value; an all-zero row is NaN."""
+        rng = np.random.default_rng(4)
+        P = rng.normal(0, 10.0 ** rng.uniform(-3, 3, (40, 1)), (40, 24))
+        P[[3, 17]] = 0.0
+        Q = P + rng.normal(0, 0.1, P.shape)
+        rel = metrics.relative_errors(P, Q)
+        assert np.flatnonzero(np.isnan(rel)).tolist() == [3, 17]
+        for i, (p, q) in enumerate(zip(P, Q)):
+            if i not in (3, 17):
+                assert rel[i] == metrics.relative_error(p, q)
+
+    def test_batch_rejects_vector(self):
+        with pytest.raises(ValueError, match=r"\(B, n\)"):
+            metrics.relative_errors(np.ones(4), np.ones(4))
+
 
 class TestCompressionRatio:
     def test_equal_is_zero(self):
