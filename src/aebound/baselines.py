@@ -36,7 +36,11 @@ class LtcSegment:
 
 
 def ltc_compress(series, bound: float) -> list[LtcSegment]:
-    """Greedy corridor segmentation; every sample stays within +-bound."""
+    """Greedy corridor segmentation; every sample stays within +-bound.
+
+    Raises RangeError when float64 arithmetic cannot keep the decode within
+    the bound, e.g. for readings many orders of magnitude above it.
+    """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
         raise ValueError("series must be 1-D with at least 2 samples")
@@ -66,6 +70,11 @@ def ltc_compress(series, bound: float) -> list[LtcSegment]:
     slope = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
     last = series.shape[0] - 1
     segments.append(LtcSegment(si, last, sv, float(sv + slope * (last - si))))
+    # the corridor arithmetic loses the bound when readings dwarf it (1e17 +- 0.1
+    # rounds to 1e17), so the bound is checked on what the decoder will produce
+    if not np.all(np.abs(ltc_decompress(segments) - series) <= bound):
+        raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
+                         "for its float64 arithmetic")
     return segments
 
 
@@ -80,16 +89,11 @@ def ltc_decompress(segments: list[LtcSegment]) -> np.ndarray:
                 f"segments do not tile: expected start {prev_end}, got {seg.start_index}"
             )
         prev_end = seg.end_index
-    n = segments[-1].end_index - segments[0].start_index + 1
-    out = np.empty(n)
-    base = segments[0].start_index
-    for seg in segments:
-        idx = np.arange(seg.start_index, seg.end_index + 1) - seg.start_index
-        span = seg.end_index - seg.start_index
-        out[seg.start_index - base : seg.end_index + 1 - base] = (
-            seg.start_value + (seg.end_value - seg.start_value) * idx / span
-        )
-    return out
+    start, end = np.array([(seg.start_index, seg.end_index) for seg in segments]).T
+    v0, v1 = np.array([(seg.start_value, seg.end_value) for seg in segments]).T
+    pos = np.arange(start[0], end[-1] + 1)
+    which = np.searchsorted(start, pos, side="right") - 1  # a shared end point takes the later segment's value
+    return v0[which] + (v1 - v0)[which] * (pos - start[which]) / (end - start)[which]
 
 
 def ltc_bits(segments: list[LtcSegment]) -> int:

@@ -148,9 +148,11 @@ def cmd_bench(args) -> int:
     cfg = build_config(args)
     rows = harness.run_benchmark(cfg)
     harness.write_report(rows, cfg, args.out)
-    n_failed = sum(1 for r in rows if r.status.startswith("failed"))
-    print(f"wrote {len(rows)} rows to {os.path.join(args.out, 'report.csv')}"
-          + (f" ({n_failed} failed)" if n_failed else ""))
+    print(f"wrote {len(rows)} rows to {os.path.join(args.out, 'report.csv')}")
+    n_bad = sum(1 for r in rows if r.status != "ok")
+    if n_bad:
+        print(f"error: {n_bad} of {len(rows)} rows failed or partial; see the status column", file=sys.stderr)
+        return 1
     return 0
 
 

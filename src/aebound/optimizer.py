@@ -8,12 +8,19 @@ objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autoencoder, sphering
+
+
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.9  # curvature
+MAX_LINE_SEARCH_STEPS = 25  # evaluations per bracketing phase and per zoom
 
 
 @dataclass(frozen=True)
@@ -21,15 +28,10 @@ class LbfgsOptions:
     history: int = 10
     max_iters: int = 400
     grad_tol: float = 1e-5
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search_steps: int = 25
 
     def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.history < 1 or self.max_iters < 1 or self.max_line_search_steps < 1:
-            raise ValueError("history, max_iters and max_line_search_steps must be positive")
+        if self.history < 1 or self.max_iters < 1:
+            raise ValueError("history and max_iters must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
 
@@ -40,6 +42,21 @@ class TrainingTrace:
     cost_history: list[float]
     final_grad_norm: float
     stop_reason: str  # converged | max_iters | line_search_failure
+
+
+class _Point(NamedTuple):
+    """The objective's value and gradient at x + step*d, and its slope along d."""
+
+    step: float
+    f: float
+    slope: float
+    grad: np.ndarray
+
+
+def _point(objective, x, d, step):
+    """The line-search point at x + step*d, carrying the objective's own value and gradient there."""
+    f, g = objective(x + step * d)
+    return _Point(step, f, float(g @ d), g)
 
 
 def _quadratic_min(a, fa, ga, b, fb):
@@ -59,42 +76,26 @@ def _quadratic_min(a, fa, ga, b, fb):
     return t if np.isfinite(t) else None
 
 
-def _zoom(phi, lo, f_lo, g_lo, hi, f_hi, f0, g0, c1, c2, max_steps):
-    """Strong-Wolfe zoom phase on the bracket [lo, hi]."""
-    for _ in range(max_steps):
-        t = _quadratic_min(lo, f_lo, g_lo, hi, f_hi)
-        left, right = min(lo, hi), max(lo, hi)
+def _zoom(phi, lo, hi, f0, g0):
+    """Strong-Wolfe zoom phase on the bracket between the points lo and hi."""
+    for _ in range(MAX_LINE_SEARCH_STEPS):
+        t = _quadratic_min(lo.step, lo.f, lo.slope, hi.step, hi.f)
+        left, right = min(lo.step, hi.step), max(lo.step, hi.step)
         span = right - left
         if t is None or not (left + 0.1 * span <= t <= right - 0.1 * span):
-            t = 0.5 * (lo + hi)
-        f_t, g_t = phi(t)
-        if not np.isfinite(f_t) or f_t > f0 + c1 * t * g0 or f_t >= f_lo:
-            hi, f_hi = t, f_t
+            t = 0.5 * (lo.step + hi.step)
+        p = phi(t)
+        if not np.isfinite(p.f) or p.f > f0 + WOLFE_C1 * t * g0 or p.f >= lo.f:
+            hi = p
         else:
-            if abs(g_t) <= -c2 * g0:
-                return t, f_t, g_t
-            if g_t * (hi - lo) >= 0:
-                hi, f_hi = lo, f_lo
-            lo, f_lo, g_lo = t, f_t, g_t
-        if abs(hi - lo) < 1e-16 * max(1.0, abs(lo)):
+            if abs(p.slope) <= -WOLFE_C2 * g0:
+                return p
+            if p.slope * (hi.step - lo.step) >= 0:
+                hi = lo
+            lo = p
+        if abs(hi.step - lo.step) < 1e-16 * max(1.0, abs(lo.step)):
             break
-    if f_lo < f0:
-        return lo, f_lo, g_lo
-    return None
-
-
-def _line(objective, x, d, last):
-    """phi(a) = (f, directional derivative) at x + a*d; keeps the last (f, g) in `last`.
-
-    `last` is a list owned by the caller, so phi holds no reference to itself
-    and each iteration's arrays are freed as soon as it ends.
-    """
-
-    def phi(a):
-        last[:] = objective(x + a * d)
-        return last[0], float(last[1] @ d)
-
-    return phi
+    return lo if lo.f < f0 else None
 
 
 def _first_step(g):
@@ -102,24 +103,27 @@ def _first_step(g):
     return min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
 
 
-def _strong_wolfe(phi, f0, g0, c1, c2, max_steps, alpha0=1.0):
-    """Bracketing line search; phi(a) returns (value, directional derivative).
+def _strong_wolfe(objective, x, d, f, g, alpha0):
+    """Bracketing line search from x, where the objective is (f, g), along d.
 
-    Returns (alpha, f, g) satisfying the strong Wolfe conditions, or None.
+    Returns the accepted point, which satisfies the strong Wolfe conditions,
+    or None.
     """
+    phi = partial(_point, objective, x, d)
+    prev = _Point(0.0, f, float(d @ g), g)
+    f0, g0 = prev.f, prev.slope
     if g0 >= 0:
         return None
-    alpha_prev, f_prev, g_prev = 0.0, f0, g0
     alpha = alpha0
-    for i in range(max_steps):
-        f_a, g_a = phi(alpha)
-        if not np.isfinite(f_a) or f_a > f0 + c1 * alpha * g0 or (i > 0 and f_a >= f_prev):
-            return _zoom(phi, alpha_prev, f_prev, g_prev, alpha, f_a, f0, g0, c1, c2, max_steps)
-        if abs(g_a) <= -c2 * g0:
-            return alpha, f_a, g_a
-        if g_a >= 0:
-            return _zoom(phi, alpha, f_a, g_a, alpha_prev, f_prev, f0, g0, c1, c2, max_steps)
-        alpha_prev, f_prev, g_prev = alpha, f_a, g_a
+    for i in range(MAX_LINE_SEARCH_STEPS):
+        p = phi(alpha)
+        if not np.isfinite(p.f) or p.f > f0 + WOLFE_C1 * alpha * g0 or (i > 0 and p.f >= prev.f):
+            return _zoom(phi, prev, p, f0, g0)
+        if abs(p.slope) <= -WOLFE_C2 * g0:
+            return p
+        if p.slope >= 0:
+            return _zoom(phi, p, prev, f0, g0)
+        prev = p
         alpha = 2.0 * alpha
     return None
 
@@ -137,17 +141,14 @@ def minimize(
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is non-finite at theta0")
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=opts.history)  # (s, y, 1 / s.y)
     cost_history = [float(f)]
     best_x, best_f = x.copy(), f
-    best_gnorm = float(np.max(np.abs(g)))
+    gnorm = best_gnorm = float(np.max(np.abs(g)))
     stop_reason = "max_iters"
     iterations = 0
 
     for iterations in range(1, opts.max_iters + 1):
-        gnorm = float(np.max(np.abs(g)))
         if gnorm <= opts.grad_tol:
             stop_reason = "converged"
             iterations -= 1
@@ -156,91 +157,54 @@ def minimize(
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, yv, rho in reversed(hist):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * yv
-        if y_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        if hist:
+            s, yv, _ = hist[-1]
+            q *= (s @ yv) / (yv @ yv)
+        for (s, yv, rho), a in zip(hist, reversed(alphas)):
             b = rho * (yv @ q)
             q += (a - b) * s
         d = -q
-        dg = float(d @ g)
-        if dg >= 0:  # not a descent direction; restart from steepest descent
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+        if float(d @ g) >= 0:  # not a descent direction; restart from steepest descent
+            hist.clear()
             d = -g
-            dg = float(d @ g)
 
-        last = [None, None]  # (f, g) of the line search's latest evaluation
-        res = _strong_wolfe(
-            _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
-            opts.max_line_search_steps, 1.0 if y_hist else _first_step(g),
-        )
-        if res is None and s_hist:
-            # retry once along steepest descent with fresh memory
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+        point = _strong_wolfe(objective, x, d, f, g, 1.0 if hist else _first_step(g))
+        if point is None and hist:  # retry once along steepest descent with fresh memory
+            hist.clear()
             d = -g
-            dg = float(d @ g)
-            res = _strong_wolfe(
-                _line(objective, x, d, last), f, dg, opts.wolfe_c1, opts.wolfe_c2,
-                opts.max_line_search_steps, _first_step(g),
-            )
-        if res is None:
+            point = _strong_wolfe(objective, x, d, f, g, _first_step(g))
+        if point is None:
             # near the minimum the Wolfe test drowns in f-roundoff; accept a
             # plain step along d if it still shrinks the gradient
             for alpha in (1.0, 0.5, 0.25, 0.1):
-                f_try, g_try = objective(x + alpha * d)
-                if (
-                    np.isfinite(f_try)
-                    and np.all(np.isfinite(g_try))
-                    and float(np.max(np.abs(g_try))) < gnorm
-                ):
-                    x_new = x + alpha * d
-                    f_new, g_new = f_try, g_try
+                point = _point(objective, x, d, alpha)
+                finite = np.isfinite(point.f) and np.all(np.isfinite(point.grad))
+                if finite and np.max(np.abs(point.grad)) < gnorm:
                     break
             else:
                 stop_reason = "line_search_failure"
                 break
-        else:
-            alpha, f_new, _ = res
-            x_new = x + alpha * d
-            f_last, g_new = last
-            if f_last != f_new:  # zoom may return an earlier evaluation point
-                f_new, g_new = objective(x_new)
 
+        x_new = x + point.step * d
         s = x_new - x
-        yv = g_new - g
+        yv = point.grad - g
         sy = float(s @ yv)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > opts.history:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            hist.append((s, yv, 1.0 / sy))
 
-        x, f, g = x_new, f_new, np.asarray(g_new, dtype=np.float64)
+        x, f, g = x_new, point.f, np.asarray(point.grad, dtype=np.float64)
         cost_history.append(float(f))
-        gn = float(np.max(np.abs(g)))
+        gnorm = float(np.max(np.abs(g)))
         slack = 1e-14 * (1.0 + abs(best_f))  # f ties at roundoff level
-        if f < best_f - slack or (f <= best_f + slack and gn < best_gnorm):
-            best_f, best_gnorm, best_x = f, gn, x.copy()
-    else:
-        stop_reason = "max_iters"
+        if f < best_f - slack or (f <= best_f + slack and gnorm < best_gnorm):
+            best_f, best_gnorm, best_x = f, gnorm, x.copy()
 
-    trace = TrainingTrace(
-        iterations=iterations,
-        cost_history=cost_history,
-        final_grad_norm=float(np.max(np.abs(g))),
-        stop_reason=stop_reason,
-    )
+    trace = TrainingTrace(iterations=iterations, cost_history=cost_history, final_grad_norm=gnorm,
+                          stop_reason=stop_reason)
     return best_x, trace
 
 

@@ -53,6 +53,32 @@ class TestLtc:
         with pytest.raises(FormatError):
             baselines.ltc_decompress(segs)
 
+    @pytest.mark.parametrize("series", [[1e17, 2.0, 3.0, 2.5], [1e30, 2.0, 3.0]])
+    def test_readings_that_dwarf_the_bound_raise(self, series):
+        # the corridor arithmetic rounds 1e17 +- 0.1 to 1e17; the decode would put 2.0 at 0.0
+        with pytest.raises(RangeError):
+            baselines.ltc_compress(series, 0.1)
+
+    def test_decompress_matches_segment_loop(self):
+        def loop_decode(segments):
+            base = segments[0].start_index
+            out = np.empty(segments[-1].end_index - base + 1)
+            for seg in segments:  # a later segment overwrites the end point it shares
+                idx = np.arange(seg.start_index, seg.end_index + 1) - seg.start_index
+                out[seg.start_index - base : seg.end_index + 1 - base] = (
+                    seg.start_value + (seg.end_value - seg.start_value) * idx / (seg.end_index - seg.start_index)
+                )
+            return out
+
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            n_segs = int(rng.integers(1, 9))
+            cuts = np.cumsum(np.concatenate(([rng.integers(0, 3)], rng.integers(1, 6, n_segs))))
+            values = rng.choice([0.0, -0.0, 1.5, -2.25, 1e17, rng.normal(0, 3)], n_segs + 1)
+            segs = [baselines.LtcSegment(int(a), int(b), float(u), float(v))
+                    for a, b, u, v in zip(cuts, cuts[1:], values, values[1:])]
+            assert baselines.ltc_decompress(segs).tobytes() == loop_decode(segs).tobytes()
+
     def test_fewer_segments_at_larger_bound(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

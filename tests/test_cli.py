@@ -219,6 +219,17 @@ class TestBench:
         assert cli.main(["report", "--report-dir", outdir]) == 0
         assert os.path.exists(os.path.join(outdir, "bound_vs_cr.svg"))
 
+    def test_failed_rows_exit_1_after_writing_the_report(self, tmp_path, capsys):
+        # 6 training windows per fold < k=10, so every PCA cell fails; LTC stays ok
+        config = tmp_path / "failing.cfg"
+        config.write_text("sensors = 2\nsteps = 60\nwindow = 10\nk = 10\nbounds = 0.5\nvariants =\n"
+                          "baselines = pca, ltc\nfolds = 2\nrepetitions = 1\nnoise_sd = 0\n")
+        outdir = tmp_path / "report"
+        assert cli.main(["bench", "--config", str(config), "--seed", "0", "--out", str(outdir)]) == 1
+        statuses = {line.split(",")[0]: line.split(",")[9] for line in (outdir / "report.csv").read_text().splitlines()[1:]}
+        assert statuses["LTC"] == "ok" and statuses["PCA(k=10)"].startswith("failed:")
+        assert "1 of 2 rows failed or partial" in capsys.readouterr().err
+
     def test_thread_pool_matches_sequential(self, tiny_config, tmp_path, monkeypatch):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         cli.main(["bench", "--config", tiny_config, "--seed", "9", "--out", out1])
@@ -248,6 +259,13 @@ class TestConfigKeys:
         rows = [line.split(",") for line in (outdir / "report.csv").read_text().splitlines()[1:]]
         assert sorted({r[0] for r in rows}) == ["LTC", "WAE(k=3)"]
         assert [r[9] for r in rows] == ["ok"] * 4
+
+    @pytest.mark.parametrize("key, value", [("wolfe_c1", "1e-3"), ("wolfe_c2", "0.5"), ("max_line_search_steps", "9")])
+    def test_line_search_constants_are_not_config_keys(self, tiny_config, tmp_path, capsys, key, value):
+        outdir = tmp_path / "report"
+        assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), "--set", key, value]) == 2
+        assert key in capsys.readouterr().err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("where", ["file", "set"])
     def test_unknown_key_is_usage_error(self, tiny_config, tmp_path, capsys, where):

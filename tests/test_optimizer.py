@@ -1,9 +1,10 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
 
-from aebound import autoencoder as ae
+from aebound import autoencoder as ae, optimizer
 from aebound.optimizer import LbfgsOptions, minimize, train
 
 pytestmark = pytest.mark.filterwarnings("ignore:code dimension")
@@ -90,6 +91,55 @@ class TestMinimize:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def spd_quadratics(seed, count, max_dim):
+    """(objective, x0) pairs of random convex quadratics, drawn as acceptance test 5 draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        a = q @ np.diag(rng.uniform(0.1, 10.0, dim)) @ q.T
+        b = rng.normal(size=dim)
+        yield (lambda x, a=a, b=b: (0.5 * x @ a @ x - b @ x, a @ x - b)), rng.normal(size=dim)
+
+
+def _bytes(f, g):
+    return np.float64(f).tobytes() + np.asarray(g, dtype=np.float64).tobytes()
+
+
+class TestLineSearchContract:
+    """Every point the line search returns carries the objective's own (f, gradient) at x + step*d."""
+
+    @pytest.mark.parametrize("seed, count, max_dim, skip, opts", [
+        (17, 50, 20, 0, LbfgsOptions(max_iters=500, grad_tol=1e-12)),  # acceptance test 5
+        # zoom returns an earlier point whose f ties the last evaluation's: telling
+        # points apart by f pairs the new iterate with the wrong gradient here
+        (17, 3, 29, 2, LbfgsOptions(history=3, grad_tol=1e-9)),
+    ], ids=["test5-family", "history3-dim23"])
+    def test_points_carry_their_own_gradient(self, monkeypatch, seed, count, max_dim, skip, opts):
+        search = optimizer._strong_wolfe
+        earlier = []  # per accepted point: was it evaluated before the search's last evaluation?
+
+        def checked_search(objective, x, d, f, g, alpha0):
+            assert _bytes(*objective(x)) == _bytes(f, g)  # the iterate's own gradient goes in
+            evaluated = []
+
+            def recorded(v):
+                evaluated.append(v)
+                return objective(v)
+
+            point = search(recorded, x, d, f, g, alpha0)
+            if point is not None:
+                at = x + point.step * d
+                assert _bytes(*objective(at)) == _bytes(point.f, point.grad)
+                earlier.append(not np.array_equal(evaluated[-1], at))
+            return point
+
+        monkeypatch.setattr(optimizer, "_strong_wolfe", checked_search)
+        for objective, x0 in itertools.islice(spd_quadratics(seed, count, max_dim), skip, None):
+            minimize(objective, x0, opts)
+        assert any(earlier)  # the zoom handed back an earlier point, not only its last one
 
 
 class TestTrain:
