@@ -93,10 +93,10 @@ def _csv_windows(path, timestamp_column, model, mode):
 
 
 def _wide_residuals(default_bound: float) -> bool:
-    """Residual width on the wire, fixed by the model: 64-bit only for a lossless model.
+    """Patch width on the wire, fixed by the model: 64-bit readings only for a lossless model.
 
-    `decompress` knows only the model, so `compress` must use the same width
-    whatever `--bound` says.
+    `decompress` knows only the model, so `compress` must encode with the
+    same width whatever `--bound` says; the writer takes it from the packets.
     """
     return default_bound == 0.0
 
@@ -109,7 +109,7 @@ def cmd_compress(args) -> int:
         raise UsageError(f"--bound 0 needs a lossless model; this model's default bound is {default_bound}")
     windows = _csv_windows(args.input, args.timestamp_column, model, args.mode)
     packets = codec.compress_batch(windows, model, bound, wide)
-    codec.write_packet_stream(packets, model.n, model.k, args.out, wide_residuals=wide)
+    codec.write_packet_stream(packets, model.n, model.k, args.out)
     if args.verify:
         decoded = codec.read_packet_stream(args.out, model.n, model.k, wide_residuals=wide)
         worst = 0.0

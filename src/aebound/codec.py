@@ -3,9 +3,10 @@
 A packet carries the hidden code y, the per-vector mean m, and the residual
 code. The encoder forms residuals against the reconstruction computed from
 the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
-so float quantization can never break the error bound. Residual values go on
-the wire as 32-bit floats, except in lossless mode (bound = 0, agreed at the
-model level) where they are 64-bit.
+so float quantization can never break the error bound. A patch is a 32-bit
+residual added to the reconstruction, except in lossless mode (bound = 0,
+agreed at the model level), where it is the 64-bit reading itself, written in
+place of the reconstruction: that round trip is exact by construction.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -116,37 +117,11 @@ def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -
     return denormalize(z, m32.astype(np.float64)[:, None], model.sigma)
 
 
-def _exact_residuals(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Residuals r with q + r == p exactly in float64 (lossless mode).
-
-    p - q can round, leaving the decoder one ulp off; walk those residuals a
-    few ulps until the addition reproduces p bit-exactly.
-    """
-    r = p - q
-    for i in np.flatnonzero(q + r != p).tolist():
-        fixed = False
-        for direction in (np.inf, -np.inf):
-            cand = r[i]
-            for _ in range(4):
-                cand = np.nextafter(cand, direction)
-                if q[i] + cand == p[i]:
-                    r[i] = cand
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if not fixed:
-            raise PrecisionError(
-                f"cannot represent residual exactly at index {i} "
-                "(magnitudes too disparate for lossless mode)"
-            )
-    return r
-
-
 def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
     """Encode each row of a (B, n) batch into a packet honoring the error bound.
 
-    Row i is bit-identical to `compress(P[i])`.
+    Row i is bit-identical to `compress(P[i])`. A patch is the float64 reading
+    with `wide_residuals` (the default at bound 0), else its float32 residual.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -166,7 +141,7 @@ def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | N
     code = residual_code(p - q, bound)
     patched = code.indicator
     if wide_residuals:
-        values = _exact_residuals(p[patched], q[patched])
+        values = p[patched]
     else:
         values = code.values.astype(np.float32)
         err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
@@ -200,7 +175,10 @@ def decompress_batch(packets: Packets, model: ModelParams) -> np.ndarray:
     """Decode B packets back to a (B, n) array of readings."""
     _check_shapes(packets, model.n, model.k)
     q = _wire_reconstruction(packets.y, packets.m, model)
-    q += residual_decode(packets.eps, len(packets) * model.n).reshape(q.shape)
+    if packets.eps.values.dtype == np.float64:  # lossless patches are the readings
+        q[packets.eps.indicator.reshape(q.shape)] = packets.eps.values
+    else:
+        q += residual_decode(packets.eps, len(packets) * model.n).reshape(q.shape)
     return q
 
 
@@ -209,16 +187,19 @@ def decompress(packet: Packet, model: ModelParams) -> np.ndarray:
     return decompress_batch(_one(packet), model)[0]
 
 
-def _stream_bytes(packets: Packets, n: int, k: int, wide_residuals: bool) -> np.ndarray:
+def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     """Packets in the wire layout, each prefixed by its u32 LE byte count.
 
     Packet body: k x f32 code, f32 mean, ceil(n/8) indicator bytes
-    (LSB-first), then one float per set bit in ascending index order (f64 in
-    lossless mode), all little-endian.
+    (LSB-first), then one patch per set bit in ascending index order, as f32
+    or f64 like the values' dtype, all little-endian.
     """
     _check_shapes(packets, n, k)
+    values = packets.eps.values
+    if values.dtype not in (np.float32, np.float64):
+        raise ValueError(f"patch values must be float32 or float64, got {values.dtype}")
     count = len(packets)
-    value_size = 8 if wide_residuals else 4
+    value_size = values.dtype.itemsize
     indicator = packets.eps.indicator.reshape(count, n)
     value_bytes = value_size * indicator.sum(axis=1)
     heads = np.concatenate([
@@ -234,7 +215,7 @@ def _stream_bytes(packets: Packets, n: int, k: int, wide_residuals: bool) -> np.
     )
     out = np.empty(in_head.shape[0], dtype=np.uint8)
     out[in_head] = heads.ravel()
-    out[~in_head] = packets.eps.values.astype("<f8" if wide_residuals else "<f4").view(np.uint8)
+    out[~in_head] = values.astype(f"<f{value_size}").view(np.uint8)
     return out
 
 
@@ -272,9 +253,9 @@ def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_res
     )
 
 
-def serialize_packet(packet: Packet, n: int, k: int, wide_residuals: bool = False) -> bytes:
+def serialize_packet(packet: Packet, n: int, k: int) -> bytes:
     """Bit-exact little-endian wire layout of one packet (see `_stream_bytes`)."""
-    return _stream_bytes(_one(packet), n, k, wide_residuals)[4:].tobytes()
+    return _stream_bytes(_one(packet), n, k)[4:].tobytes()
 
 
 def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packet:
@@ -298,9 +279,9 @@ def packet_size_bits(packet: Packet, n: int, k: int) -> tuple[int, int]:
     return int(code[0]), int(res[0])
 
 
-def write_packet_stream(packets: Packets, n: int, k: int, path, wide_residuals: bool = False) -> None:
+def write_packet_stream(packets: Packets, n: int, k: int, path) -> None:
     """Write packets length-prefixed (u32 LE byte count) to a file."""
-    data = _stream_bytes(packets, n, k, wide_residuals)
+    data = _stream_bytes(packets, n, k)
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -354,6 +335,8 @@ def load_model(path) -> tuple[ModelParams, float]:
     version, n, k, sigma, bound = struct.unpack("<HIIdd", data[4:head_size])
     if version > MODEL_VERSION:
         raise UnsupportedVersionError(f"model file version {version} > supported {MODEL_VERSION}")
+    if version != MODEL_VERSION:
+        raise FormatError(f"model file version {version} != {MODEL_VERSION}")
     if not (np.isfinite(bound) and bound >= 0):
         raise FormatError(f"model default bound must be nonnegative and finite, got {bound}")
     counts = [k * n, k, n * k, n]

@@ -125,7 +125,7 @@ class _CellResult:
             bits_code=int(np.sum(bits_code)),
             bits_residual=int(np.sum(bits_residual)),
             bits_raw=RAW_BITS_PER_READING * P.size,
-            abs_err_sum=_running_sum(np.sum(np.abs(P - Q), axis=1)),
+            abs_err_sum=_running_sum(metrics.abs_error_sums(P, Q)),
             abs_err_count=P.size,
             rel_err_sum=_running_sum(rel[windowed]),
             rel_err_windows=int(np.count_nonzero(windowed)),

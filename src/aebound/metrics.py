@@ -33,9 +33,18 @@ def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def abs_error_sums(P, Q) -> np.ndarray:
+    """Per row of a (B, n) batch: the sum of absolute differences."""
+    P, Q = _pair(P, Q)
+    if P.ndim != 2:
+        raise ValueError(f"expected (B, n) batches, got shape {P.shape}")
+    return np.sum(np.abs(P - Q), axis=1)
+
+
 def mean_abs_error(p, q) -> float:
     p, q = _pair(p, q)
-    return float(np.mean(np.abs(p - q)))
+    (total,) = abs_error_sums(p.reshape(1, -1), q.reshape(1, -1))
+    return float(total / p.size)
 
 
 def relative_errors(P, Q) -> np.ndarray:

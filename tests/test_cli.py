@@ -301,7 +301,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("mode, default_bound, digests", [
         ("temporal", 0.6, ("abcfada201343e6eb64259f17e6dd69c5004efc5f5aff7e2aa0dc7150f0d104a",
                            "f0195f2c4f41046279546178286977e1d2902aca4dafa4cb15783a828dae3d9a")),
-        ("temporal", 0.0, ("6acf77498271305d4ca8ce1f5fe7defc3511ba061731f89e840a830e27204139",
+        ("temporal", 0.0, ("0ca2ece7aae5415ba892eac59aacdb0c294935ddd690a0c615f1164a0b37c1a7",
                            "386158fba45578dd5b975c7043709dca5d19419b8b2f43c3502ef83adb3f1cdc")),
         ("spatial", 0.6, ("d5a775d0ec6898502dae6002e7453d8e00b4db10f7fbf1cb2f1edfee9e204847",
                           "06d2fc7642a39a65543f7f0ad58b043bc922dca812913ec74d18fea5f8cca571")),

@@ -51,9 +51,8 @@ class TestCompressDecompress:
         pkt = codec.compress(p, model, 0.0)
         q = codec.decompress(pkt, model)
         np.testing.assert_array_equal(q, p)  # lossless mode repairs everything
-        # residuals cannot exceed half the denormalized output range
-        if pkt.eps.count:
-            assert np.max(np.abs(pkt.eps.values)) <= 1.5 * model.sigma.sigma / 0.4
+        # lossless patches are the patched readings themselves
+        np.testing.assert_array_equal(pkt.eps.values, p[pkt.eps.indicator])
 
     def test_adversarial_outlier_bound_holds(self, model):
         rng = np.random.default_rng(1)
@@ -151,7 +150,7 @@ class TestSerialization:
             y=np.array([0.25], dtype=np.float32), m=np.float32(1.5),
             eps=ResidualCode(indicator=indicator, values=np.array([0.1, -0.3])),
         )
-        blob = codec.serialize_packet(pkt, 3, 1, wide_residuals=True)
+        blob = codec.serialize_packet(pkt, 3, 1)
         back = codec.deserialize_packet(blob, 3, 1, wide_residuals=True)
         assert back == pkt
 
@@ -204,6 +203,16 @@ class TestModelFile:
         with pytest.raises(UnsupportedVersionError):
             codec.load_model(path)
 
+    def test_version_zero(self, model, tmp_path):
+        path = tmp_path / "model.aeb"
+        codec.save_model(model, 0.1, path)
+        data = bytearray(path.read_bytes())
+        data[4] = 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="version 0") as raised:
+            codec.load_model(path)
+        assert not isinstance(raised.value, UnsupportedVersionError)
+
     def test_truncated_file(self, model, tmp_path):
         path = tmp_path / "model.aeb"
         codec.save_model(model, 0.1, path)
@@ -234,6 +243,56 @@ class TestModelFile:
             codec.load_model(path)
 
 
+class TestLossless:
+    """At bound 0 the patches are the readings, so the round trip is exact whatever the data."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return dataset.make_windows(dataset.synth_dataset(6, 3000, seed=3), "temporal", 16)
+
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        return ae.init_params(16, 4, seed=1, sigma=SpheringScale(2.0))
+
+    def test_every_window_exact(self, windows, wide_model):
+        # readings far finer than their reconstruction: no float64 r gives q + r == p for some
+        packets = codec.compress_batch(windows, wide_model, 0.0)
+        assert len(packets) == 1122 and packets.eps.values.dtype == np.float64
+        np.testing.assert_array_equal(packets.eps.values, windows.ravel()[packets.eps.indicator])
+        decoded = codec.decompress_batch(packets, wide_model)
+        assert np.array_equal(decoded.view(np.uint64), windows.view(np.uint64))
+
+    def test_default_writers_keep_the_readings(self, tmp_path, windows, wide_model):
+        packets = codec.compress_batch(windows, wide_model, 0.0)
+        path = tmp_path / "packets.bin"
+        codec.write_packet_stream(packets, 16, 4, path)
+        back = codec.read_packet_stream(path, 16, 4, wide_residuals=True)
+        decoded = codec.decompress_batch(back, wide_model)
+        assert np.array_equal(decoded.view(np.uint64), windows.view(np.uint64))
+        blob = codec.serialize_packet(codec.compress(windows[0], wide_model, 0.0), 16, 4)
+        one = codec.deserialize_packet(blob, 16, 4, wide_residuals=True)
+        assert np.array_equal(codec.decompress(one, wide_model), windows[0])
+
+    def test_wide_patches_at_a_lossy_bound(self, windows, wide_model):
+        packets = codec.compress_batch(windows, wide_model, 0.3, wide_residuals=True)
+        patched = packets.eps.indicator.reshape(windows.shape)
+        assert packets.eps.values.dtype == np.float64 and patched.any()
+        decoded = codec.decompress_batch(packets, wide_model)
+        assert np.array_equal(decoded[patched], windows[patched])
+        assert np.max(np.abs(decoded - windows)) <= 0.3
+
+    def test_writers_reject_other_widths(self, tmp_path):
+        pkt = random_packet(np.random.default_rng(12), 8, 3, n_resid=2)
+        half = codec.Packet(y=pkt.y, m=pkt.m,
+                            eps=ResidualCode(pkt.eps.indicator, pkt.eps.values.astype(np.float16)))
+        with pytest.raises(ValueError, match="float32 or float64"):
+            codec.serialize_packet(half, 8, 3)
+        path = tmp_path / "packets.bin"
+        with pytest.raises(ValueError, match="float32 or float64"):
+            codec.write_packet_stream(codec.Packets(y=half.y[None], m=[half.m], eps=half.eps), 8, 3, path)
+        assert not path.exists()
+
+
 class TestPacketStream:
     def test_roundtrip(self, model, tmp_path):
         rng = np.random.default_rng(10)
@@ -260,7 +319,7 @@ def reference_compress(p, model, bound, wide):
     q = reference_reconstruction(y32, m32, model)
     indicator = np.abs(p - q) > bound
     if wide:
-        values = codec._exact_residuals(p[indicator], q[indicator])
+        values = p[indicator]
     else:
         values = (p - q)[indicator].astype(np.float32)
     return codec.Packet(y=y32, m=m32, eps=ResidualCode(indicator=indicator, values=values))
@@ -269,6 +328,15 @@ def reference_compress(p, model, bound, wide):
 def reference_reconstruction(y32, m32, model):
     z = ae.sigmoid(model.w_dec @ y32.astype(np.float64) + model.b_dec)
     return (3.0 * model.sigma.sigma / 0.4) * (z - 0.5) + float(m32)
+
+
+def reference_decompress(pkt, model):
+    """The per-vector decoder: 64-bit patches replace readings, 32-bit ones add to them."""
+    q = reference_reconstruction(pkt.y, pkt.m, model)
+    if pkt.eps.values.dtype == np.float64:
+        q[pkt.eps.indicator] = pkt.eps.values
+        return q
+    return q + codec.residual_decode(pkt.eps, model.n)
 
 
 class TestBatchParity:
@@ -294,13 +362,12 @@ class TestBatchParity:
         assert rows == [reference_compress(p, model, bound, wide) for p in P]
 
         path = tmp_path / "packets.bin"
-        codec.write_packet_stream(packets, n, k, path, wide)
-        assert path.read_bytes() == stream_of(codec.serialize_packet(pkt, n, k, wide) for pkt in rows)
+        codec.write_packet_stream(packets, n, k, path)
+        assert path.read_bytes() == stream_of(codec.serialize_packet(pkt, n, k) for pkt in rows)
 
         decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k, wide), model)
         one_by_one = np.array([codec.decompress(pkt, model) for pkt in rows])
-        reference = np.array([reference_reconstruction(pkt.y, pkt.m, model)
-                              + codec.residual_decode(pkt.eps, n) for pkt in rows])
+        reference = np.array([reference_decompress(pkt, model) for pkt in rows])
         assert np.array_equal(decoded.view(np.uint64), one_by_one.view(np.uint64))
         assert np.array_equal(decoded.view(np.uint64), reference.view(np.uint64))
         assert np.max(np.abs(decoded - P)) <= bound
@@ -331,7 +398,7 @@ class TestFuzz:
             packet = codec.deserialize_packet(data, n, k, wide)
         except FormatError:
             return
-        assert len(codec.serialize_packet(packet, n, k, wide)) == len(data)
+        assert len(codec.serialize_packet(packet, n, k)) == len(data)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.binary(max_size=300), n=st.integers(1, 20), k=st.integers(1, 6), wide=st.booleans())
@@ -342,15 +409,41 @@ class TestFuzz:
             packets = codec.read_packet_stream(path, n, k, wide)
         except FormatError:
             return
-        codec.write_packet_stream(packets, n, k, path, wide)
+        codec.write_packet_stream(packets, n, k, path)
         assert path.stat().st_size == len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(codec.MODEL_MAGIC.__add__)))
+    def test_load_model_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "model.aeb"
+        path.write_bytes(data)
+        try:
+            codec.load_model(path)
+        except FormatError:
+            pass
+
+    @pytest.mark.filterwarnings("ignore:code dimension k")  # k >= n is a valid model
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 6),
+           edits=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 255)), min_size=1, max_size=6))
+    def test_load_model_mutated_header(self, tmp_path_factory, n, k, edits):
+        path = tmp_path_factory.mktemp("fuzz") / "model.aeb"
+        codec.save_model(ae.init_params(n, k, seed=0, sigma=SpheringScale(1.5)), 0.1, path)
+        data = bytearray(path.read_bytes())
+        for offset, byte in edits:  # header: magic, u16 version, u32 n, u32 k, f64 sigma, f64 bound
+            data[offset] = byte
+        path.write_bytes(bytes(data))
+        try:
+            codec.load_model(path)
+        except FormatError:
+            pass
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), n=st.integers(1, 20),
            k=st.integers(1, 6), wide=st.booleans(), cut=st.booleans())
     def test_first_bad_packet_named(self, tmp_path_factory, seed, count, n, k, wide, cut):
         rng = np.random.default_rng(seed)
-        blobs = [codec.serialize_packet(random_packet(rng, n, k, wide=wide), n, k, wide)
+        blobs = [codec.serialize_packet(random_packet(rng, n, k, wide=wide), n, k)
                  for _ in range(count)]
         bad = int(rng.integers(count))
         start = sum(4 + len(blob) for blob in blobs[:bad])

@@ -24,6 +24,20 @@ class TestMeanAbsError:
         with pytest.raises(ValueError):
             metrics.mean_abs_error(np.zeros(3), np.zeros(4))
 
+    def test_batch_rows_are_one_row_sums(self):
+        """Each row of the batch form is n times the one-row mean, bit for bit here."""
+        rng = np.random.default_rng(5)
+        P = rng.normal(0, 10.0 ** rng.uniform(-3, 3, (40, 1)), (40, 32))
+        Q = P + rng.normal(0, 0.1, P.shape)
+        sums = metrics.abs_error_sums(P, Q)
+        assert sums.shape == (40,)
+        for total, p, q in zip(sums, P, Q):
+            assert total / 32 == metrics.mean_abs_error(p, q)
+
+    def test_batch_rejects_vector(self):
+        with pytest.raises(ValueError, match=r"\(B, n\)"):
+            metrics.abs_error_sums(np.zeros(3), np.zeros(3))
+
 
 class TestRelativeError:
     def test_identity(self):
