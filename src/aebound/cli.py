@@ -85,9 +85,7 @@ def cmd_train(args) -> int:
 
 
 def _csv_windows(path, timestamp_column, model, mode):
-    matrix = dataset.fill_missing(
-        dataset.load_csv(path, dataset.CsvSchema(timestamp=timestamp_column))
-    )
+    matrix = dataset.fill_missing(dataset.load_csv(path, timestamp_column))
     n = model.n
     return dataset.make_windows(matrix, mode, n)
 
@@ -157,24 +155,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .metrics import EvalRow
-
-    rows = []
-    with open(os.path.join(args.report_dir, "report.csv")) as fh:
-        header = fh.readline().strip()
-        if header != harness.CSV_HEADER:
-            raise FormatError(f"unexpected report header: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(
-                EvalRow(
-                    method=parts[0], epsilon_bound=float(parts[1]), cr=float(parts[2]),
-                    eps_abs=float(parts[3]), eps_rel=float(parts[4]), bits_code=int(parts[5]),
-                    bits_residual=int(parts[6]), bits_raw=int(parts[7]),
-                    wall_time=float(parts[8]), status=",".join(parts[9:]),
-                )
-            )
-    harness.write_plots(rows, args.report_dir)
+    harness.write_plots(harness.read_report(args.report_dir), args.report_dir)
     print(f"plots written to {args.report_dir}")
     return 0
 

@@ -10,9 +10,11 @@ place of the reconstruction: that round trip is exact by construction.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
-written and read whole. `compress`/`decompress` and
-`serialize_packet`/`deserialize_packet` are the one-packet cases of the
-same code, so a batch row is bit-identical to the packet of that row alone.
+written and read whole. A packet is a one-row `Packets`: `compress` and
+`deserialize_packet` return one, and `decompress`, `serialize_packet` and
+`packet_size_bits` take one and raise ValueError for any other length. They
+run the same code as the batch functions, so a batch row is bit-identical to
+the packet of that row alone.
 """
 
 from __future__ import annotations
@@ -33,38 +35,12 @@ MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Packet:
-    """One compressed vector: code y, per-vector mean m, residual code."""
-
-    y: np.ndarray  # float32, length k
-    m: np.float32
-    eps: ResidualCode
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float32)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "m", np.float32(self.m))
-        if y.ndim != 1:
-            raise FormatError("y must be 1-D")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Packet):
-            return NotImplemented
-        return (
-            self.y.tobytes() == other.y.tobytes()
-            and self.m.tobytes() == other.m.tobytes()
-            and np.array_equal(self.eps.indicator, other.eps.indicator)
-            and self.eps.values.dtype == other.eps.values.dtype
-            and self.eps.values.tobytes() == other.eps.values.tobytes()
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Packets:
     """B compressed vectors as arrays: codes y, means m, one residual code.
 
     The residual code runs over the B*n readings in row-major order, so its
-    values are the per-packet values concatenated.
+    values are the per-packet values concatenated. A packet is a one-row
+    `Packets`. Equality is bitwise: shapes, bytes and the patch dtype.
     """
 
     y: np.ndarray  # float32, (B, k)
@@ -79,22 +55,35 @@ class Packets:
         if y.ndim != 2 or m.shape != y.shape[:1]:
             raise FormatError(f"codes {y.shape} and means {m.shape} must be (B, k) and (B,)")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Packets):
+            return NotImplemented
+        return (
+            self.y.shape == other.y.shape
+            and self.y.tobytes() == other.y.tobytes()
+            and self.m.tobytes() == other.m.tobytes()
+            and np.array_equal(self.eps.indicator, other.eps.indicator)
+            and self.eps.values.dtype == other.eps.values.dtype
+            and self.eps.values.tobytes() == other.eps.values.tobytes()
+        )
+
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def __iter__(self) -> Iterator[Packet]:
-        """The rows, one `Packet` each."""
+    def __iter__(self) -> Iterator[Packets]:
+        """The rows, one packet each."""
         count = len(self)
         indicator = self.eps.indicator.reshape(count, self.eps.indicator.shape[0] // max(count, 1))
         start = 0
         for i, row in enumerate(indicator):
             end = start + int(row.sum())
-            yield Packet(y=self.y[i], m=self.m[i], eps=ResidualCode(row, self.eps.values[start:end]))
+            yield Packets(y=self.y[i:i + 1], m=self.m[i:i + 1], eps=ResidualCode(row, self.eps.values[start:end]))
             start = end
 
 
-def _one(packet: Packet) -> Packets:
-    return Packets(y=packet.y[None], m=np.reshape(packet.m, 1), eps=packet.eps)
+def _check_one(packet: Packets) -> None:
+    if len(packet) != 1:
+        raise ValueError(f"expected one packet, got {len(packet)}; use the batch functions")
 
 
 def _matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -153,13 +142,12 @@ def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | N
     return Packets(y=y32, m=m32, eps=ResidualCode(indicator=patched, values=values))
 
 
-def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packet:
-    """Encode one raw vector into a packet honoring the error bound."""
+def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
+    """Encode one raw vector into a one-row `Packets` honoring the error bound."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (model.n,):
         raise ValueError(f"input shape {p.shape} != ({model.n},)")
-    batch = compress_batch(p[None], model, bound, wide_residuals)
-    return Packet(y=batch.y[0], m=batch.m[0], eps=batch.eps)
+    return compress_batch(p[None], model, bound, wide_residuals)
 
 
 def _check_shapes(packets: Packets, n: int, k: int) -> None:
@@ -182,9 +170,10 @@ def decompress_batch(packets: Packets, model: ModelParams) -> np.ndarray:
     return q
 
 
-def decompress(packet: Packet, model: ModelParams) -> np.ndarray:
-    """Decode a packet back to a length-n reading vector."""
-    return decompress_batch(_one(packet), model)[0]
+def decompress(packet: Packets, model: ModelParams) -> np.ndarray:
+    """Decode one packet back to a length-n reading vector."""
+    _check_one(packet)
+    return decompress_batch(packet, model)[0]
 
 
 def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
@@ -253,16 +242,16 @@ def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_res
     )
 
 
-def serialize_packet(packet: Packet, n: int, k: int) -> bytes:
+def serialize_packet(packet: Packets, n: int, k: int) -> bytes:
     """Bit-exact little-endian wire layout of one packet (see `_stream_bytes`)."""
-    return _stream_bytes(_one(packet), n, k)[4:].tobytes()
+    _check_one(packet)
+    return _stream_bytes(packet, n, k)[4:].tobytes()
 
 
-def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packet:
-    """Inverse of serialize_packet; rejects truncated or oversized buffers."""
+def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packets:
+    """Inverse of serialize_packet, as a one-row `Packets`; rejects truncated or oversized buffers."""
     stream = np.frombuffer(struct.pack("<I", len(data)) + bytes(data), dtype=np.uint8)
-    (packet,) = _parse_stream(stream, [len(data)], n, k, wide_residuals)
-    return packet
+    return _parse_stream(stream, [len(data)], n, k, wide_residuals)
 
 
 def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +262,10 @@ def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.
     return np.full(len(packets), 32 * k + 32), n + value_bits * patched
 
 
-def packet_size_bits(packet: Packet, n: int, k: int) -> tuple[int, int]:
+def packet_size_bits(packet: Packets, n: int, k: int) -> tuple[int, int]:
     """(code bits, residual bits) of one packet: its `packets_size_bits`."""
-    code, res = packets_size_bits(_one(packet), n, k)
+    _check_one(packet)
+    code, res = packets_size_bits(packet, n, k)
     return int(code[0]), int(res[0])
 
 

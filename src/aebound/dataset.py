@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,29 +57,16 @@ class FoldSplit:
     """Assignment of dataset indices to k folds."""
 
     fold_assignment: np.ndarray
-    k: int
-    seed: int
 
     def indices_of(self, fold: int) -> np.ndarray:
         return np.nonzero(self.fold_assignment == fold)[0]
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for `load_csv`.
-
-    `readings` of None means: every non-timestamp column is a sensor.
-    """
-
-    timestamp: str
-    readings: Sequence[str] | None = None
-
-
-def load_csv(path, schema: CsvSchema) -> SensorMatrix:
+def load_csv(path, timestamp: str) -> SensorMatrix:
     """Read a headered CSV of sensor readings into a SensorMatrix.
 
-    Empty cells and NaN tokens become missing markers (NaN); rows are
-    aligned on the union of timestamps.
+    Every column but `timestamp` is a sensor. Empty cells and NaN tokens
+    become missing markers (NaN); rows are aligned on the union of timestamps.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -89,16 +75,10 @@ def load_csv(path, schema: CsvSchema) -> SensorMatrix:
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header row")
         header = [h.strip() for h in header]
-        if schema.timestamp not in header:
-            raise SchemaError(f"no timestamp column {schema.timestamp!r} in header {header}")
-        ts_col = header.index(schema.timestamp)
-        if schema.readings is None:
-            reading_names = [h for h in header if h != schema.timestamp]
-        else:
-            reading_names = list(schema.readings)
-            for name in reading_names:
-                if name not in header:
-                    raise SchemaError(f"no reading column {name!r} in header {header}")
+        if timestamp not in header:
+            raise SchemaError(f"no timestamp column {timestamp!r} in header {header}")
+        ts_col = header.index(timestamp)
+        reading_names = [h for h in header if h != timestamp]
         if not reading_names:
             raise SchemaError("schema must name at least one reading column")
         reading_cols = [header.index(name) for name in reading_names]
@@ -191,7 +171,7 @@ def split_folds(count: int, k: int, seed: int) -> FoldSplit:
     perm = np.random.default_rng(seed).permutation(count)
     assignment = np.empty(count, dtype=np.int64)
     assignment[perm] = np.arange(count) % k
-    return FoldSplit(fold_assignment=assignment, k=k, seed=seed)
+    return FoldSplit(fold_assignment=assignment)
 
 
 def synth_dataset(

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import baselines, codec, dataset, metrics, residual, svgplot
 from .autoencoder import VARIANTS, CostConfig
+from .errors import FormatError
 from .optimizer import LbfgsOptions, train
 
 BASELINE_METHODS = ("ltc", "lzw", "pca", "dct")
@@ -86,9 +87,7 @@ def _cell_seed(base: int, *parts: int) -> int:
 
 def load_windows(cfg: BenchmarkConfig) -> np.ndarray:
     if cfg.csv_path is not None:
-        matrix = dataset.fill_missing(
-            dataset.load_csv(cfg.csv_path, dataset.CsvSchema(timestamp=cfg.timestamp_column))
-        )
+        matrix = dataset.fill_missing(dataset.load_csv(cfg.csv_path, cfg.timestamp_column))
     else:
         matrix = dataset.synth_dataset(
             cfg.sensors, cfg.steps, cfg.seed, cfg.noise_sd,
@@ -293,6 +292,7 @@ def _run_cell(fn):
 
 
 CSV_HEADER = "method,bound,cr,eps_abs,eps_rel,bits_code,bits_residual,bits_raw,wall_time,status"
+_CSV_TYPES = (str, float, float, float, float, int, int, int, float, str)  # the EvalRow fields, in order
 
 
 def write_report(rows: list[metrics.EvalRow], cfg: BenchmarkConfig, outdir) -> None:
@@ -318,6 +318,21 @@ def write_report(rows: list[metrics.EvalRow], cfg: BenchmarkConfig, outdir) -> N
         fh.write("\n")
 
     write_plots(rows, outdir)
+
+
+def read_report(report_dir) -> list[metrics.EvalRow]:
+    """The rows of a `write_report` report.csv; `wall_time` comes back at its 3 written decimals."""
+    rows = []
+    with open(os.path.join(report_dir, "report.csv")) as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise FormatError(f"unexpected report header: {header}")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(",", len(_CSV_TYPES) - 1)  # a status may hold commas
+            if len(parts) != len(_CSV_TYPES):
+                raise FormatError(f"report line {lineno}: {len(parts)} fields, expected {len(_CSV_TYPES)}")
+            rows.append(metrics.EvalRow(*(kind(part) for kind, part in zip(_CSV_TYPES, parts))))
+    return rows
 
 
 # x-axis row field, its label, chart title, file name; the y axis is the CR

@@ -133,7 +133,7 @@ class TestCompressDecompress:
         assert cli.main(["compress", "--model", model_path, "--input", csv_path,
                          "--bound", "0.3", "--out", packets, "--verify"]) == 0
         assert cli.main(["decompress", "--model", model_path, "--packets", packets, "--out", out_csv]) == 0
-        windows = dataset.make_windows(dataset.load_csv(csv_path, dataset.CsvSchema("t")), "temporal", 12)
+        windows = dataset.make_windows(dataset.load_csv(csv_path, "t"), "temporal", 12)
         recon = np.loadtxt(out_csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
         assert recon.shape == windows.shape
         assert np.max(np.abs(recon - windows)) <= 0.3

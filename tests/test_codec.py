@@ -24,9 +24,9 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
         n_resid = int(rng.integers(0, n + 1))
     indicator = np.zeros(n, dtype=bool)
     indicator[rng.choice(n, size=n_resid, replace=False)] = True
-    return codec.Packet(
-        y=rng.uniform(0, 1, k).astype(np.float32),
-        m=np.float32(rng.normal()),
+    return codec.Packets(
+        y=rng.uniform(0, 1, (1, k)).astype(np.float32),
+        m=[np.float32(rng.normal())],
         eps=ResidualCode(indicator=indicator,
                          values=rng.normal(size=n_resid).astype(np.float64 if wide else np.float32)),
     )
@@ -77,8 +77,8 @@ class TestCompressDecompress:
         p = np.linspace(0, 7, 8)
         pkt = codec.compress(p, model, 1e12)
         q = codec.decompress(pkt, model)
-        z = ae.sigmoid(model.w_dec @ pkt.y.astype(np.float64) + model.b_dec)
-        expected = (3 * model.sigma.sigma / 0.4) * (z - 0.5) + float(pkt.m)
+        z = ae.sigmoid(model.w_dec @ pkt.y[0].astype(np.float64) + model.b_dec)
+        expected = (3 * model.sigma.sigma / 0.4) * (z - 0.5) + float(pkt.m[0])
         np.testing.assert_array_equal(q, expected)
 
     def test_hand_built_packet(self):
@@ -86,9 +86,9 @@ class TestCompressDecompress:
             w_enc=np.zeros((1, 2)), b_enc=np.zeros(1), w_dec=np.zeros((2, 1)),
             b_dec=np.zeros(2), n=2, k=1, sigma=SpheringScale(1.0),
         )
-        pkt = codec.Packet(
-            y=np.array([0.7], dtype=np.float32),
-            m=np.float32(5.0),
+        pkt = codec.Packets(
+            y=np.array([[0.7]], dtype=np.float32),
+            m=[np.float32(5.0)],
             eps=ResidualCode(indicator=np.array([False, True]), values=np.array([0.3], dtype=np.float32)),
         )
         q = codec.decompress(pkt, m2)
@@ -101,7 +101,7 @@ class TestCompressDecompress:
         with pytest.raises(ValueError):
             codec.compress(np.array([np.nan] * 8), model, 0.1)
         pkt = codec.compress(np.zeros(8) + 1.0, model, 0.1)
-        bad = codec.Packet(y=pkt.y[:2], m=pkt.m, eps=pkt.eps)
+        bad = codec.Packets(y=pkt.y[:, :2], m=pkt.m, eps=pkt.eps)
         with pytest.raises(FormatError):
             codec.decompress(bad, model)
 
@@ -113,6 +113,41 @@ class TestCompressDecompress:
             pk1 = codec.compress(p, model, b1)
             pk2 = codec.compress(p, model, b2)
             assert sum(codec.packet_size_bits(pk1, 8, 3)) >= sum(codec.packet_size_bits(pk2, 8, 3))
+
+
+class TestOnePacket:
+    """A packet is a one-row `Packets`: the one-packet functions return one and take only one."""
+
+    @pytest.mark.parametrize("bound", [0.0, 0.05, 1e12])
+    def test_compress_is_the_batch_row(self, model, bound):
+        p = np.random.default_rng(13).normal(0, 3, 8)
+        pkt = codec.compress(p, model, bound)
+        assert isinstance(pkt, codec.Packets) and len(pkt) == 1
+        (row,) = codec.compress_batch(p[None], model, bound)
+        assert pkt == row == codec.compress_batch(p[None], model, bound)
+
+    @pytest.mark.parametrize("bound", [0.0, 0.2])
+    def test_serialize_roundtrip_of_rows(self, model, bound):
+        packets = codec.compress_batch(np.random.default_rng(14).normal(0, 3, (20, 8)), model, bound)
+        for row in packets:
+            back = codec.deserialize_packet(codec.serialize_packet(row, 8, 3), 8, 3, wide_residuals=bound == 0)
+            assert isinstance(back, codec.Packets) and back == row
+
+    @pytest.mark.parametrize("call", [
+        lambda pkt, model: codec.decompress(pkt, model),
+        lambda pkt, model: codec.serialize_packet(pkt, 8, 3),
+        lambda pkt, model: codec.packet_size_bits(pkt, 8, 3),
+    ], ids=["decompress", "serialize_packet", "packet_size_bits"])
+    def test_two_rows_rejected(self, model, call):
+        two = codec.compress_batch(np.random.default_rng(15).normal(0, 3, (2, 8)), model, 0.1)
+        with pytest.raises(ValueError, match="expected one packet, got 2"):
+            call(two, model)
+
+    def test_equality_compares_shapes(self):
+        def empty(k):
+            return codec.Packets(y=np.empty((0, k)), m=[], eps=ResidualCode(np.zeros(0, bool), np.zeros(0, np.float32)))
+        assert empty(3) == empty(3)
+        assert empty(3) != empty(4)
 
 
 class TestSerialization:
@@ -146,8 +181,8 @@ class TestSerialization:
 
     def test_wide_residual_roundtrip(self):
         indicator = np.array([True, False, True])
-        pkt = codec.Packet(
-            y=np.array([0.25], dtype=np.float32), m=np.float32(1.5),
+        pkt = codec.Packets(
+            y=np.array([[0.25]], dtype=np.float32), m=[np.float32(1.5)],
             eps=ResidualCode(indicator=indicator, values=np.array([0.1, -0.3])),
         )
         blob = codec.serialize_packet(pkt, 3, 1)
@@ -283,13 +318,13 @@ class TestLossless:
 
     def test_writers_reject_other_widths(self, tmp_path):
         pkt = random_packet(np.random.default_rng(12), 8, 3, n_resid=2)
-        half = codec.Packet(y=pkt.y, m=pkt.m,
-                            eps=ResidualCode(pkt.eps.indicator, pkt.eps.values.astype(np.float16)))
+        half = codec.Packets(y=pkt.y, m=pkt.m,
+                             eps=ResidualCode(pkt.eps.indicator, pkt.eps.values.astype(np.float16)))
         with pytest.raises(ValueError, match="float32 or float64"):
             codec.serialize_packet(half, 8, 3)
         path = tmp_path / "packets.bin"
         with pytest.raises(ValueError, match="float32 or float64"):
-            codec.write_packet_stream(codec.Packets(y=half.y[None], m=[half.m], eps=half.eps), 8, 3, path)
+            codec.write_packet_stream(half, 8, 3, path)
         assert not path.exists()
 
 
@@ -322,7 +357,7 @@ def reference_compress(p, model, bound, wide):
         values = p[indicator]
     else:
         values = (p - q)[indicator].astype(np.float32)
-    return codec.Packet(y=y32, m=m32, eps=ResidualCode(indicator=indicator, values=values))
+    return codec.Packets(y=y32[None], m=[m32], eps=ResidualCode(indicator=indicator, values=values))
 
 
 def reference_reconstruction(y32, m32, model):
@@ -332,7 +367,7 @@ def reference_reconstruction(y32, m32, model):
 
 def reference_decompress(pkt, model):
     """The per-vector decoder: 64-bit patches replace readings, 32-bit ones add to them."""
-    q = reference_reconstruction(pkt.y, pkt.m, model)
+    q = reference_reconstruction(pkt.y[0], pkt.m[0], model)
     if pkt.eps.values.dtype == np.float64:
         q[pkt.eps.indicator] = pkt.eps.values
         return q

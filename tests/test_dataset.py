@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aebound import dataset
-from aebound.dataset import CsvSchema, SensorMatrix
+from aebound.dataset import SensorMatrix
 from aebound.errors import InsufficientDataError, ParseError, SchemaError, WindowError
 
 
@@ -15,36 +15,36 @@ def write(tmp_path, text, name="data.csv"):
 class TestLoadCsv:
     def test_direct_transcription(self, tmp_path):
         path = write(tmp_path, "t,s1\n1,10.0\n2,11.0\n3,12.0\n")
-        m = dataset.load_csv(path, CsvSchema(timestamp="t"))
+        m = dataset.load_csv(path, "t")
         assert m.values.shape == (1, 3)
         np.testing.assert_array_equal(m.values[0], [10.0, 11.0, 12.0])
         np.testing.assert_array_equal(m.timestamps, [1, 2, 3])
 
     def test_missing_cell_becomes_nan(self, tmp_path):
         path = write(tmp_path, "t,s1,s2\n1,10,20\n2,11,\n3,12,22\n")
-        m = dataset.load_csv(path, CsvSchema(timestamp="t"))
+        m = dataset.load_csv(path, "t")
         assert np.isnan(m.values[1, 1])
         assert np.isfinite(m.values[0, 1])
 
     def test_parse_error_names_line(self, tmp_path):
         path = write(tmp_path, "t,s1\nabc,1.0\n")
         with pytest.raises(ParseError, match="line 1"):
-            dataset.load_csv(path, CsvSchema(timestamp="t"))
+            dataset.load_csv(path, "t")
 
     def test_missing_timestamp_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(SchemaError):
-            dataset.load_csv(path, CsvSchema(timestamp="t"))
+            dataset.load_csv(path, "t")
 
     def test_rows_aligned_on_union_of_timestamps(self, tmp_path):
         path = write(tmp_path, "t,s1\n3,30\n1,10\n2,20\n")
-        m = dataset.load_csv(path, CsvSchema(timestamp="t"))
+        m = dataset.load_csv(path, "t")
         np.testing.assert_array_equal(m.timestamps, [1, 2, 3])
         np.testing.assert_array_equal(m.values[0], [10, 20, 30])
 
     def test_nan_token_is_missing(self, tmp_path):
         path = write(tmp_path, "t,s1\n1,NaN\n2,5\n3,6\n")
-        m = dataset.load_csv(path, CsvSchema(timestamp="t"))
+        m = dataset.load_csv(path, "t")
         assert np.isnan(m.values[0, 0])
 
 

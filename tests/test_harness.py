@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
+import pytest
 
-from aebound import dataset, harness
+from aebound import dataset, harness, metrics
+from aebound.errors import FormatError
 from aebound.optimizer import LbfgsOptions
 
 GOLDEN_CONFIG = harness.BenchmarkConfig(
@@ -81,3 +84,33 @@ class TestPartialRows:
                 continue
             assert row.status.startswith("partial:RangeError: reading outside fixed-point range")
             assert dataclasses.replace(row, wall_time=0.0, status="ok") == dataclasses.replace(expected, wall_time=0.0)
+
+
+class TestReadReport:
+    ROWS = [
+        metrics.EvalRow("WAE(k=3)", 0.05, 100 / 3, 0.1 + 0.2, 1e-17, 480, 1234, 3840, 1.23449, "ok"),
+        metrics.EvalRow("LTC", 0.2, 61.0, 2.5e-3, 7.0, 96, 0, 3840, 0.0, "partial:ValueError: a, b"),
+        metrics.EvalRow("PCA(k=10)", 0.5, math.nan, math.nan, math.nan, 0, 0, 0, 12.3456, "failed:RangeError: x,y"),
+    ]
+
+    def test_every_field_but_wall_time_comes_back(self, tmp_path):
+        harness.write_report(self.ROWS, GOLDEN_CONFIG, tmp_path)
+        back = harness.read_report(tmp_path)
+        assert [r.wall_time for r in back] == [1.234, 0.0, 12.346]
+
+        def untimed(rows):  # repr, so that NaN fields compare equal
+            return [repr(dataclasses.replace(r, wall_time=0.0)) for r in rows]
+
+        assert untimed(back) == untimed(self.ROWS)
+
+    def test_wrong_header(self, tmp_path):
+        harness.write_report(self.ROWS, GOLDEN_CONFIG, tmp_path)
+        path = tmp_path / "report.csv"
+        path.write_text(path.read_text().replace("wall_time", "seconds", 1))
+        with pytest.raises(FormatError, match="unexpected report header"):
+            harness.read_report(tmp_path)
+
+    def test_short_line(self, tmp_path):
+        (tmp_path / "report.csv").write_text(harness.CSV_HEADER + "\nLTC,0.1,50.0\n")
+        with pytest.raises(FormatError, match="report line 2: 3 fields"):
+            harness.read_report(tmp_path)
