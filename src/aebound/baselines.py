@@ -35,11 +35,13 @@ class LtcSegment:
             raise ValueError("segment must span at least one step")
 
 
-def ltc_compress(series, bound: float) -> list[LtcSegment]:
+def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> list[LtcSegment]:
     """Greedy corridor segmentation; every sample stays within +-bound.
 
     Raises RangeError when float64 arithmetic cannot keep the decode within
-    the bound, e.g. for readings many orders of magnitude above it.
+    the bound, e.g. for readings many orders of magnitude above it. The
+    decode made for that check is written to `out` when one is given, so a
+    round trip need not decode twice.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
@@ -72,9 +74,12 @@ def ltc_compress(series, bound: float) -> list[LtcSegment]:
     segments.append(LtcSegment(si, last, sv, float(sv + slope * (last - si))))
     # the corridor arithmetic loses the bound when readings dwarf it (1e17 +- 0.1
     # rounds to 1e17), so the bound is checked on what the decoder will produce
-    if not np.all(np.abs(ltc_decompress(segments) - series) <= bound):
+    decoded = ltc_decompress(segments)
+    if not np.all(np.abs(decoded - series) <= bound):
         raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
                          "for its float64 arithmetic")
+    if out is not None:
+        out[...] = decoded
     return segments
 
 

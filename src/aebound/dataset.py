@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InsufficientDataError, ParseError, SchemaError, WindowError
 
 _MISSING_TOKENS = {"", "nan", "NaN", "NAN"}
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SensorMatrix:
             raise ValueError("row count must match sensor_ids")
         if values.shape[1] != timestamps.shape[0]:
             raise ValueError("column count must match timestamps")
-        if timestamps.shape[0] > 1 and not np.all(np.diff(timestamps) > 0):
+        if not np.all(timestamps[1:] > timestamps[:-1]):  # np.diff can wrap around in int64
             raise ValueError("timestamps must be strictly increasing")
 
     @property
@@ -67,51 +69,107 @@ def load_csv(path, timestamp: str) -> SensorMatrix:
 
     Every column but `timestamp` is a sensor. Empty cells and NaN tokens
     become missing markers (NaN); rows are aligned on the union of timestamps.
+    A regular body (full-width rows of numbers, unique integer timestamps) is
+    parsed in one `np.loadtxt` pass; anything else goes through the row
+    parser, which raises every SchemaError/ParseError.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row")
-        header = [h.strip() for h in header]
-        if timestamp not in header:
-            raise SchemaError(f"no timestamp column {timestamp!r} in header {header}")
-        ts_col = header.index(timestamp)
-        reading_names = [h for h in header if h != timestamp]
-        if not reading_names:
-            raise SchemaError("schema must name at least one reading column")
-        reading_cols = [header.index(name) for name in reading_names]
+        header, ts_col = _read_header(reader, path, timestamp)
+        reading_cols = [j for j in range(len(header)) if j != ts_col]
+        parsed = None
+        if fh.seekable():  # the row parser can re-read the body if the fast path gives up
+            parsed = _parse_regular(fh, ts_col, reading_cols)
+            if parsed is None:
+                fh.seek(0)
+                next(reader)  # past the header again
+        if parsed is None:
+            parsed = _parse_rows(reader, path, header, ts_col, reading_cols)
+    timestamps, values = parsed
+    return SensorMatrix(values=values, sensor_ids=[header[j] for j in reading_cols], timestamps=timestamps)
 
-        rows: dict[int, np.ndarray] = {}
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+
+def _read_header(reader, path, timestamp: str) -> tuple[list[str], int]:
+    """The stripped column names and the timestamp's column index."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in header]
+    if timestamp not in header:
+        raise SchemaError(f"no timestamp column {timestamp!r} in header {header}")
+    if len(header) < 2:
+        raise SchemaError("schema must name at least one reading column")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise SchemaError(f"column {name!r} appears more than once in header {header}")
+        seen.add(name)
+    return header, header.index(timestamp)
+
+
+def _parse_regular(fh, ts_col: int, reading_cols: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(timestamps, sensors x steps values) of a regular body, or None.
+
+    One `np.loadtxt` pass reads the lines after the header into a structured
+    array, int64 at the timestamp column and float64 elsewhere. Whatever that
+    pass accepts, `int()`/`float()` accept with the same value, so the result
+    equals the row parser's. It returns None on any loader exception or
+    warning (numpy < 2 parses "12.0" as an int64 with a DeprecationWarning;
+    an empty body warns), and on duplicate timestamps, so the row parser
+    names the error.
+    """
+    n_cols = len(reading_cols) + 1
+    dtype = np.dtype([(f"c{j}", np.int64 if j == ts_col else np.float64) for j in range(n_cols)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except Exception:  # which errors the loader raises varies with the numpy version
+        return None
+    stamps = table[f"c{ts_col}"]
+    order = np.argsort(stamps, kind="stable")
+    timestamps = stamps[order]
+    if timestamps.size == 0 or not np.all(timestamps[1:] > timestamps[:-1]):
+        return None
+    values = np.empty((len(reading_cols), timestamps.size))
+    for row, j in zip(values, reading_cols):
+        np.take(table[f"c{j}"], order, out=row)
+    return timestamps, values
+
+
+def _parse_rows(reader, path, header: list[str], ts_col: int, reading_cols: list[int]):
+    """(timestamps, sensors x steps values) from a csv reader, row by row."""
+    rows: dict[int, np.ndarray] = {}
+    for lineno, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if ts_col >= len(row):
+            raise ParseError(f"line {lineno}: missing timestamp cell")
+        raw_ts = row[ts_col].strip()
+        try:
+            ts = int(raw_ts)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad timestamp {raw_ts!r}")
+        if not _INT64_MIN <= ts <= _INT64_MAX:
+            raise ParseError(f"line {lineno}: timestamp {raw_ts!r} does not fit in int64")
+        if ts in rows:
+            raise ParseError(f"line {lineno}: duplicate timestamp {ts}")
+        vals = np.full(len(reading_cols), np.nan)
+        for j, col in enumerate(reading_cols):
+            cell = row[col].strip() if col < len(row) else ""
+            if cell in _MISSING_TOKENS:
                 continue
-            if ts_col >= len(row):
-                raise ParseError(f"line {lineno}: missing timestamp cell")
-            raw_ts = row[ts_col].strip()
             try:
-                ts = int(raw_ts)
+                vals[j] = float(cell)
             except ValueError:
-                raise ParseError(f"line {lineno}: bad timestamp {raw_ts!r}")
-            if ts in rows:
-                raise ParseError(f"line {lineno}: duplicate timestamp {ts}")
-            vals = np.full(len(reading_cols), np.nan)
-            for j, col in enumerate(reading_cols):
-                cell = row[col].strip() if col < len(row) else ""
-                if cell in _MISSING_TOKENS:
-                    continue
-                try:
-                    vals[j] = float(cell)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad reading {cell!r} in column {header[col]!r}")
-            rows[ts] = vals
+                raise ParseError(f"line {lineno}: bad reading {cell!r} in column {header[col]!r}")
+        rows[ts] = vals
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
     timestamps = np.array(sorted(rows), dtype=np.int64)
-    values = np.stack([rows[t] for t in timestamps], axis=1)  # sensors x steps
-    return SensorMatrix(values=values, sensor_ids=tuple(reading_names), timestamps=timestamps)
+    return timestamps, np.stack([rows[t] for t in timestamps], axis=1)  # sensors x steps
 
 
 def fill_missing(m: SensorMatrix) -> SensorMatrix:

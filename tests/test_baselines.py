@@ -79,6 +79,22 @@ class TestLtc:
                     for a, b, u, v in zip(cuts, cuts[1:], values, values[1:])]
             assert baselines.ltc_decompress(segs).tobytes() == loop_decode(segs).tobytes()
 
+    def test_out_receives_the_checked_decode(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            series = np.cumsum(rng.normal(0, 1, int(rng.integers(2, 40))))
+            out = np.full_like(series, np.nan)
+            segs = baselines.ltc_compress(series, 0.3, out=out)
+            assert out.tobytes() == baselines.ltc_decompress(segs).tobytes()
+
+    def test_harness_decodes_each_window_once(self, monkeypatch):
+        decodes = []
+        decode = baselines.ltc_decompress
+        monkeypatch.setattr(baselines, "ltc_decompress", lambda segs: decodes.append(1) or decode(segs))
+        P = np.cumsum(np.random.default_rng(4).normal(0, 1, (9, 16)), axis=1)
+        harness._round_trip("ltc", P, 0, harness.BenchmarkConfig(), 0)(P, 0.2)
+        assert len(decodes) == len(P)
+
     def test_fewer_segments_at_larger_bound(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

@@ -1,5 +1,11 @@
+import os
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aebound import dataset
 from aebound.dataset import SensorMatrix
@@ -46,6 +52,162 @@ class TestLoadCsv:
         path = write(tmp_path, "t,s1\n1,NaN\n2,5\n3,6\n")
         m = dataset.load_csv(path, "t")
         assert np.isnan(m.values[0, 0])
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = write(tmp_path, "t,a,a\n1,10,20\n2,11,21\n")
+        with pytest.raises(SchemaError, match="'a'"):
+            dataset.load_csv(path, "t")
+
+    def test_duplicate_timestamp_column_rejected(self, tmp_path):
+        path = write(tmp_path, "t,a,t\n1,10,5\n")
+        with pytest.raises(SchemaError, match="'t'"):
+            dataset.load_csv(path, "t")
+
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809"])
+    def test_timestamp_outside_int64_names_line(self, tmp_path, stamp):
+        path = write(tmp_path, f"t,a\n1,10\n{stamp},11\n")
+        with pytest.raises(ParseError, match="line 2"):
+            dataset.load_csv(path, "t")
+
+    def test_int64_extremes_load(self, tmp_path):
+        path = write(tmp_path, "t,a\n9223372036854775807,1\n-9223372036854775808,2\n")
+        m = dataset.load_csv(path, "t")
+        assert m.timestamps.tolist() == [-(2**63), 2**63 - 1]
+
+
+def row_parser_load(path, timestamp="t"):
+    """`load_csv` with the fast path switched off: the row parser alone."""
+    with mock.patch.object(dataset, "_parse_regular", return_value=None):
+        return dataset.load_csv(path, timestamp)
+
+
+def outcome(load, path):
+    """What a load gives: the matrix's bytes, or the exception's type and message."""
+    try:
+        m = load(path, "t")
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert m.values.flags.c_contiguous and m.values.dtype == np.float64
+    return m.values.shape, m.values.tobytes(), m.timestamps.tobytes(), m.sensor_ids
+
+
+_READINGS = st.one_of(
+    st.floats(width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", " 1.5 ", "inf", "-inf", "Infinity", "NaN", "nAn", "nan", "NAN", "-nan",
+                     "1e3", "+1", "", " ", '"2.5"', "abc", "\xa01.5", "1.5\t", "\x0c2"]),
+)
+_STAMPS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.builds(str.format, st.sampled_from(["+{}", "{}.0", " {} ", "0{}", '"{}"', "\t{}"]), st.integers(-3, 40)),
+    st.sampled_from(["1_2", "12.0", "+12", "", "x", "99999999999999999999", "9223372036854775807",
+                     "-9223372036854775808", "-9223372036854775809"]),
+)
+
+
+def draw_header(draw):
+    """(sensor count, timestamp column, header line): `t` placed among 1-3 sensors."""
+    n_readings = draw(st.integers(1, 3))
+    ts_col = draw(st.integers(0, n_readings))
+    header = [f"s{i}" for i in range(n_readings)]
+    header.insert(ts_col, "t")
+    return n_readings, ts_col, ",".join(header)
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header and a body of rows both regular and not."""
+    n_readings, ts_col, header = draw_header(draw)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "commas", "comment", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "commas":
+            lines.append("," * n_readings)
+        elif kind == "comment":
+            lines.append("#" + draw(st.sampled_from(["", " note", "1,2"])))
+        else:
+            cells = draw(st.lists(_READINGS, min_size=n_readings, max_size=n_readings))
+            cells.insert(ts_col, draw(_STAMPS))
+            if kind == "short":
+                cells.pop()
+            elif kind == "long":
+                cells.append(draw(_READINGS))
+            lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@st.composite
+def regular_bodies(draw):
+    """Full-width rows of numbers under unique, unsorted integer timestamps."""
+    n_readings, ts_col, header = draw_header(draw)
+    stamps = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8, unique=True))
+    lines = [header]
+    for stamp in stamps:
+        cells = draw(st.lists(st.floats(width=64).map(repr), min_size=n_readings, max_size=n_readings))
+        cells.insert(ts_col, str(stamp))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadCsvFastPath:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(csv_bodies(), regular_bodies()))
+    def test_parity_with_row_parser(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert outcome(dataset.load_csv, path) == outcome(row_parser_load, path)
+
+    def test_regular_file_skips_row_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a, t ,b\r\n1.5,30, inf\r\n-2,+10,NaN\r\n\r\n1e3,20,nAn\r\n")
+        expected = outcome(row_parser_load, path)
+        monkeypatch.setattr(dataset, "_parse_rows", mock.Mock(side_effect=AssertionError("row parser ran")))
+        assert outcome(dataset.load_csv, path) == expected
+        m = dataset.load_csv(path, "t")
+        assert m.timestamps.tolist() == [10, 20, 30]
+        assert m.values[0].tolist() == [-2.0, 1000.0, 1.5]
+
+    @pytest.mark.parametrize("body", [
+        "1,1_000\n",                 # underscore reading
+        "1,\n2,3\n",                 # empty cell
+        "12.0,1\n",                  # float timestamp
+        "1_2,1\n",                   # underscore timestamp
+        '1,"2.5"\n',                 # quoted cell
+        "#note\n1,2\n",              # comment line
+        "1,2\n,\n3,4\n",             # all-comma row
+        "1,2\n \n3,4\n",             # whitespace-only row
+        "1,2,3\n",                   # long row
+        "1\n",                       # short row
+        "1,2\n1,3\n",                # duplicate timestamp
+        "99999999999999999999,1\n",  # timestamp outside int64
+        "",                          # empty body
+    ])
+    def test_irregular_body_reaches_row_parser(self, tmp_path, monkeypatch, body):
+        path = write(tmp_path, "t,a\n" + body)
+        expected = outcome(row_parser_load, path)
+        row_parser = mock.Mock(wraps=dataset._parse_rows)
+        monkeypatch.setattr(dataset, "_parse_rows", row_parser)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert outcome(dataset.load_csv, path) == expected
+        assert row_parser.call_count == 1
+        assert not caught  # a warning the loader gives up on (an empty body) stays inside
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_goes_through_row_parser(self, tmp_path):
+        # a pipe cannot be re-read, so an irregular body must not reach the fast path first
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("t,a\n2,\n1,3\n3,4\n",), daemon=True)
+        writer.start()
+        m = dataset.load_csv(fifo, "t")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert m.timestamps.tolist() == [1, 2, 3]
+        assert m.values[0, 0] == 3.0 and np.isnan(m.values[0, 1])
 
 
 def matrix(rows, ids=None):
