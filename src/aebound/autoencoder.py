@@ -207,6 +207,4 @@ def unflatten_params(vec: np.ndarray, n: int, k: int, sigma: SpheringScale) -> M
     w_dec = vec[i : i + n * k].reshape(n, k)
     i += n * k
     b_dec = vec[i : i + n]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # k >= n warning already raised at init
-        return ModelParams(w_enc=w_enc, b_enc=b_enc, w_dec=w_dec, b_dec=b_dec, n=n, k=k, sigma=sigma)
+    return ModelParams(w_enc=w_enc, b_enc=b_enc, w_dec=w_dec, b_dec=b_dec, n=n, k=k, sigma=sigma)

@@ -23,25 +23,14 @@ from .errors import FormatError, RangeError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LtcSegment:
-    start_index: int
-    end_index: int
-    start_value: float
-    end_value: float
-
-    def __post_init__(self):
-        if self.end_index <= self.start_index:
-            raise ValueError("segment must span at least one step")
-
-
-def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> list[LtcSegment]:
+def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Greedy corridor segmentation; every sample stays within +-bound.
 
-    Raises RangeError when float64 arithmetic cannot keep the decode within
-    the bound, e.g. for readings many orders of magnitude above it. The
-    decode made for that check is written to `out` when one is given, so a
-    round trip need not decode twice.
+    Returns the knots of the fit: int64 sample indices (0 first, n-1 last,
+    strictly increasing) and their float64 values. Raises RangeError when
+    float64 arithmetic cannot keep the decode within the bound, e.g. for
+    readings many orders of magnitude above it. The decode made for that check
+    is written to `out` when one is given, so a round trip need not decode twice.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
@@ -49,9 +38,8 @@ def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> list[Lt
     if not bound > 0:  # also rejects NaN
         raise ValueError(f"bound must be positive, got {bound}")
 
-    segments: list[LtcSegment] = []
-    si = 0
-    sv = float(series[0])
+    si, sv = 0, float(series[0])
+    indices, values = [si], [sv]
     lo, hi = -math.inf, math.inf
     j = 1
     while j < series.shape[0]:
@@ -63,47 +51,44 @@ def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> list[Lt
             lo, hi = tlo, thi
             j += 1
             continue
-        # corridor emptied at j: close the segment at j-1 and restart there
+        # corridor emptied at j: put a knot at j-1 and restart there
         slope = 0.5 * (lo + hi)
-        ev = sv + slope * (j - 1 - si)
-        segments.append(LtcSegment(si, j - 1, sv, float(ev)))
-        si, sv = j - 1, float(ev)
+        si, sv = j - 1, float(sv + slope * (j - 1 - si))
+        indices.append(si)
+        values.append(sv)
         lo, hi = -math.inf, math.inf
     slope = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
     last = series.shape[0] - 1
-    segments.append(LtcSegment(si, last, sv, float(sv + slope * (last - si))))
+    knots = np.array([*indices, last], dtype=np.int64), np.array([*values, sv + slope * (last - si)])
     # the corridor arithmetic loses the bound when readings dwarf it (1e17 +- 0.1
     # rounds to 1e17), so the bound is checked on what the decoder will produce
-    decoded = ltc_decompress(segments)
+    decoded = ltc_decompress(knots)
     if not np.all(np.abs(decoded - series) <= bound):
         raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
                          "for its float64 arithmetic")
     if out is not None:
         out[...] = decoded
-    return segments
+    return knots
 
 
-def ltc_decompress(segments: list[LtcSegment]) -> np.ndarray:
-    """Linear interpolation inside each segment; segments must tile contiguously."""
-    if not segments:
-        raise FormatError("no segments")
-    prev_end = segments[0].start_index
-    for seg in segments:
-        if seg.start_index != prev_end:
-            raise FormatError(
-                f"segments do not tile: expected start {prev_end}, got {seg.start_index}"
-            )
-        prev_end = seg.end_index
-    start, end = np.array([(seg.start_index, seg.end_index) for seg in segments]).T
-    v0, v1 = np.array([(seg.start_value, seg.end_value) for seg in segments]).T
+def ltc_decompress(knots) -> np.ndarray:
+    """Linear interpolation between consecutive knots `(indices, values)`, from the first index to the last."""
+    if len(knots) != 2:
+        raise FormatError(f"knots must be an (indices, values) pair, got {len(knots)} arrays")
+    idx, values = np.asarray(knots[0]), np.asarray(knots[1], dtype=np.float64)
+    if idx.ndim != 1 or idx.shape != values.shape or idx.shape[0] < 2:
+        raise FormatError(f"knots must be two 1-D arrays of one length >= 2, got shapes {idx.shape} and {values.shape}")
+    if idx.dtype.kind not in "iu" or not np.all(idx[1:] > idx[:-1]):
+        raise FormatError("knot indices must be integers in strictly increasing order")
+    start, end, v0, v1 = idx[:-1], idx[1:], values[:-1], values[1:]
     pos = np.arange(start[0], end[-1] + 1)
-    which = np.searchsorted(start, pos, side="right") - 1  # a shared end point takes the later segment's value
+    which = np.searchsorted(start, pos, side="right") - 1  # a shared knot takes the later segment's value
     return v0[which] + (v1 - v0)[which] * (pos - start[which]) / (end - start)[which]
 
 
-def ltc_bits(segments: list[LtcSegment]) -> int:
-    """Wire cost: one 32-bit start value, then 32-bit end index + value per segment."""
-    return 32 + 64 * len(segments)
+def ltc_bits(knots) -> int:
+    """Wire cost: one 32-bit start value, then 32-bit index + value per further knot."""
+    return 32 + 64 * (len(knots[0]) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def build_config(args) -> harness.BenchmarkConfig:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
+    if not cfg.variants:
+        raise UsageError("train needs at least one entry in variants")
     windows = harness.load_windows(cfg)
     variant = cfg.variants[0]
     k = cfg.k_list[0]

@@ -54,16 +54,6 @@ class SensorMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Assignment of dataset indices to k folds."""
-
-    fold_assignment: np.ndarray
-
-    def indices_of(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.fold_assignment == fold)[0]
-
-
 def load_csv(path, timestamp: str) -> SensorMatrix:
     """Read a headered CSV of sensor readings into a SensorMatrix.
 
@@ -220,16 +210,16 @@ def make_windows(m: SensorMatrix, mode: str, n: int, stride: int | None = None) 
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def split_folds(count: int, k: int, seed: int) -> FoldSplit:
-    """Seeded random partition of `count` indices into k near-equal folds."""
+def split_folds(count: int, k: int, seed: int) -> np.ndarray:
+    """Seeded random partition of `count` indices into k near-equal folds: the int64 fold of each index."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if count < k:
         raise ValueError(f"cannot split {count} items into {k} folds")
     perm = np.random.default_rng(seed).permutation(count)
-    assignment = np.empty(count, dtype=np.int64)
-    assignment[perm] = np.arange(count) % k
-    return FoldSplit(fold_assignment=assignment)
+    fold_of = np.empty(count, dtype=np.int64)
+    fold_of[perm] = np.arange(count) % k
+    return fold_of
 
 
 def synth_dataset(

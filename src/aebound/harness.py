@@ -62,8 +62,14 @@ class BenchmarkConfig:
     def __post_init__(self):
         if not self.k_list or not self.bounds:
             raise ValueError("k and bound sweep lists must be non-empty")
+        if not self.variants and not self.baseline_methods:
+            raise ValueError("variants and baseline_methods are both empty: no method to run")
+        if min(self.k_list) < 1:  # the harness labels LTC and LZW cells with k = 0
+            raise ValueError(f"k_list entries must be >= 1, got {min(self.k_list)}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.fold_rotations is not None and self.fold_rotations < 1:
+            raise ValueError(f"fold_rotations must be >= 1, got {self.fold_rotations}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for v in self.variants:
@@ -176,8 +182,8 @@ def _row_by_row(one):
 @_row_by_row
 def _ltc(p, bound):
     q = np.empty_like(p)
-    segs = baselines.ltc_compress(p, bound, out=q)  # q is the decode it checked
-    return q, baselines.ltc_bits(segs), 0
+    knots = baselines.ltc_compress(p, bound, out=q)  # q is the decode it checked
+    return q, baselines.ltc_bits(knots), 0
 
 
 @_row_by_row
@@ -243,16 +249,14 @@ def _eval_cell(round_trip, test_X, bounds):
 def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
     """Run the full sweep; one row per (method label, bound), failures tallied per row."""
     windows = load_windows(cfg)
-    split = dataset.split_folds(len(windows), cfg.folds, cfg.seed)
+    fold_of = dataset.split_folds(len(windows), cfg.folds, cfg.seed)
     rotations = range(cfg.folds if cfg.fold_rotations is None else min(cfg.fold_rotations, cfg.folds))
 
     # (label, cell); a label's cells are listed in (fold, rep) order and merged
     # in that order, whichever order they run in
     tasks = []
     for fold in rotations:
-        test_idx = split.indices_of(fold)
-        train_idx = np.nonzero(split.fold_assignment != fold)[0]
-        train_X, test_X = windows[train_idx], windows[test_idx]
+        train_X, test_X = windows[fold_of != fold], windows[fold_of == fold]
         for mi, method in enumerate((*cfg.variants, *cfg.baseline_methods)):
             for k in (0,) if method in ("ltc", "lzw") else cfg.k_list:
                 label = f"{method.upper()}(k={k})" if k else method.upper()

@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -254,3 +258,18 @@ class TestInitParams:
         np.testing.assert_array_equal(back.b_enc, theta.b_enc)
         np.testing.assert_array_equal(back.w_dec, theta.w_dec)
         np.testing.assert_array_equal(back.b_dec, theta.b_dec)
+
+    def test_threads_leave_the_warning_filters_alone(self):
+        # optimizer.train unflattens on every evaluation, in harness worker threads
+        # when AEB_THREADS > 1; the process-wide warning filters must come out unchanged
+        theta = ae.init_params(6, 2, seed=3)
+        vec = ae.flatten_params(theta)
+        before = list(warnings.filters)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches inside each call
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda _: [ae.unflatten_params(vec, 6, 2, theta.sigma) for _ in range(3000)], range(4)))
+        finally:
+            sys.setswitchinterval(switch)
+        assert warnings.filters == before

@@ -11,17 +11,21 @@ from aebound.errors import FormatError, RangeError
 from aebound.optimizer import LbfgsOptions, train
 
 
+def _segments(knots) -> int:
+    return len(knots[0]) - 1
+
+
 class TestLtc:
     def test_perfectly_linear_single_segment(self):
         series = np.linspace(0.0, 10.0, 50)
         for bound in (0.01, 0.5, 3.0):
-            segs = baselines.ltc_compress(series, bound)
-            assert len(segs) == 1
+            knots = baselines.ltc_compress(series, bound)
+            assert _segments(knots) == 1
 
     def test_alternating_series_defeats_ltc(self):
         series = np.array([0.0, 1.0] * 20)
-        segs = baselines.ltc_compress(series, 0.1)
-        assert len(segs) >= len(series) - 2  # nearly one segment per step
+        knots = baselines.ltc_compress(series, 0.1)
+        assert _segments(knots) >= len(series) - 2  # nearly one segment per step
 
     def test_per_index_error_bound(self):
         rng = np.random.default_rng(0)
@@ -29,29 +33,48 @@ class TestLtc:
             n = int(rng.integers(2, 60))
             series = rng.normal(0, 5, n)
             bound = float(rng.uniform(0.01, 2.0))
-            segs = baselines.ltc_compress(series, bound)
-            rec = baselines.ltc_decompress(segs)
+            knots = baselines.ltc_compress(series, bound)
+            rec = baselines.ltc_decompress(knots)
             assert rec.shape == series.shape
             assert np.max(np.abs(rec - series)) <= bound + 1e-12
+
+    def test_knots_span_the_series(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            series = np.cumsum(rng.normal(0, 1, int(rng.integers(2, 60))))
+            idx, values = baselines.ltc_compress(series, 0.3)
+            assert idx.dtype == np.int64 and values.dtype == np.float64
+            assert idx[0] == 0 and idx[-1] == len(series) - 1
+            assert np.all(np.diff(idx) > 0)
+            assert values[0] == series[0]
+            assert baselines.ltc_bits((idx, values)) == 32 + 64 * (len(idx) - 1)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             baselines.ltc_compress(np.array([1.0]), 0.1)
 
     def test_decompress_single_segment(self):
-        segs = [baselines.LtcSegment(0, 10, 0.0, 5.0)]
-        rec = baselines.ltc_decompress(segs)
+        rec = baselines.ltc_decompress((np.array([0, 10]), np.array([0.0, 5.0])))
         np.testing.assert_allclose(rec, np.linspace(0, 5, 11))
 
-    def test_gap_rejected(self):
-        segs = [baselines.LtcSegment(0, 3, 0.0, 1.0), baselines.LtcSegment(5, 8, 1.0, 2.0)]
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            (np.array([0]), np.array([1.0])),
+            (np.array([0, 3, 3, 8]), np.array([0.0, 1.0, 1.0, 2.0])),
+            (np.array([0, 5, 2, 8]), np.array([0.0, 1.0, 1.0, 2.0])),
+            (np.array([0.0, 8.0]), np.array([0.0, 2.0])),
+            (np.array([0, 4, 8]), np.array([0.0, 2.0])),
+            (np.array([[0, 8]]), np.array([[0.0, 2.0]])),
+            (np.array([0, 8]),),
+            (np.array([5, 0], dtype=np.uint64), np.array([0.0, 1.0])),  # np.diff would wrap to > 0
+        ],
+        ids=["one-knot", "repeated-index", "decreasing-index", "float-indices", "unequal-length", "2-D",
+             "no-values", "decreasing-uint64"],
+    )
+    def test_malformed_knots_rejected(self, knots):
         with pytest.raises(FormatError):
-            baselines.ltc_decompress(segs)
-
-    def test_overlap_rejected(self):
-        segs = [baselines.LtcSegment(0, 4, 0.0, 1.0), baselines.LtcSegment(2, 8, 1.0, 2.0)]
-        with pytest.raises(FormatError):
-            baselines.ltc_decompress(segs)
+            baselines.ltc_decompress(knots)
 
     @pytest.mark.parametrize("series", [[1e17, 2.0, 3.0, 2.5], [1e30, 2.0, 3.0]])
     def test_readings_that_dwarf_the_bound_raise(self, series):
@@ -60,37 +83,34 @@ class TestLtc:
             baselines.ltc_compress(series, 0.1)
 
     def test_decompress_matches_segment_loop(self):
-        def loop_decode(segments):
-            base = segments[0].start_index
-            out = np.empty(segments[-1].end_index - base + 1)
-            for seg in segments:  # a later segment overwrites the end point it shares
-                idx = np.arange(seg.start_index, seg.end_index + 1) - seg.start_index
-                out[seg.start_index - base : seg.end_index + 1 - base] = (
-                    seg.start_value + (seg.end_value - seg.start_value) * idx / (seg.end_index - seg.start_index)
-                )
+        def loop_decode(idx, values):
+            base = idx[0]
+            out = np.empty(idx[-1] - base + 1)
+            # one segment per consecutive knot pair; a later segment overwrites the knot it shares
+            for start, end, v0, v1 in zip(idx, idx[1:], values, values[1:]):
+                steps = np.arange(start, end + 1) - start
+                out[start - base : end + 1 - base] = v0 + (v1 - v0) * steps / (end - start)
             return out
 
         rng = np.random.default_rng(2)
         for _ in range(300):
             n_segs = int(rng.integers(1, 9))
-            cuts = np.cumsum(np.concatenate(([rng.integers(0, 3)], rng.integers(1, 6, n_segs))))
+            idx = np.cumsum(np.concatenate(([rng.integers(0, 3)], rng.integers(1, 6, n_segs))))
             values = rng.choice([0.0, -0.0, 1.5, -2.25, 1e17, rng.normal(0, 3)], n_segs + 1)
-            segs = [baselines.LtcSegment(int(a), int(b), float(u), float(v))
-                    for a, b, u, v in zip(cuts, cuts[1:], values, values[1:])]
-            assert baselines.ltc_decompress(segs).tobytes() == loop_decode(segs).tobytes()
+            assert baselines.ltc_decompress((idx, values)).tobytes() == loop_decode(idx, values).tobytes()
 
     def test_out_receives_the_checked_decode(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             series = np.cumsum(rng.normal(0, 1, int(rng.integers(2, 40))))
             out = np.full_like(series, np.nan)
-            segs = baselines.ltc_compress(series, 0.3, out=out)
-            assert out.tobytes() == baselines.ltc_decompress(segs).tobytes()
+            knots = baselines.ltc_compress(series, 0.3, out=out)
+            assert out.tobytes() == baselines.ltc_decompress(knots).tobytes()
 
     def test_harness_decodes_each_window_once(self, monkeypatch):
         decodes = []
         decode = baselines.ltc_decompress
-        monkeypatch.setattr(baselines, "ltc_decompress", lambda segs: decodes.append(1) or decode(segs))
+        monkeypatch.setattr(baselines, "ltc_decompress", lambda knots: decodes.append(1) or decode(knots))
         P = np.cumsum(np.random.default_rng(4).normal(0, 1, (9, 16)), axis=1)
         harness._round_trip("ltc", P, 0, harness.BenchmarkConfig(), 0)(P, 0.2)
         assert len(decodes) == len(P)
@@ -100,7 +120,7 @@ class TestLtc:
         for _ in range(50):
             series = np.cumsum(rng.normal(0, 1, 100))
             b1, b2 = sorted(rng.uniform(0.05, 2.0, 2))
-            assert len(baselines.ltc_compress(series, b1)) >= len(baselines.ltc_compress(series, b2))
+            assert _segments(baselines.ltc_compress(series, b1)) >= _segments(baselines.ltc_compress(series, b2))
 
 
 class TestLzwCore:
@@ -322,8 +342,8 @@ class TestHarnessBatchParity:
                 return codec.decompress(pkt, model), *codec.packet_size_bits(pkt, n, k)
         elif method == "ltc":
             def one(p, bound):
-                segs = baselines.ltc_compress(p, bound)
-                return baselines.ltc_decompress(segs), baselines.ltc_bits(segs), 0
+                knots = baselines.ltc_compress(p, bound)
+                return baselines.ltc_decompress(knots), baselines.ltc_bits(knots), 0
         elif method == "lzw":
             def one(p, bound):
                 blob = baselines.lzw_truncated_compress(p, bound)

@@ -84,6 +84,12 @@ class TestTrain:
         cfg.write_text("dataset = csv\n")
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.aeb")]) == 2
 
+    def test_no_variant_is_usage_error(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "m.aeb"
+        assert cli.main(["train", "--config", tiny_config, "--set", "variants", "", "--out", str(out)]) == 2
+        assert "variants" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train"])  # --out missing
@@ -206,6 +212,17 @@ class TestBench:
             return [",".join(l.split(",")[:8] + l.split(",")[9:]) for l in lines]
 
         assert strip_time(csv1) == strip_time(csv2)
+
+    @pytest.mark.parametrize(
+        "pairs", [[("variants", ""), ("baselines", "")], [("fold_rotations", "0")], [("k", "0")]],
+        ids=["no-method", "no-fold-rotation", "k-0"],
+    )
+    def test_config_that_sweeps_nothing_fails(self, tiny_config, tmp_path, capsys, pairs):
+        outdir = tmp_path / "report"
+        extra = [arg for pair in pairs for arg in ("--set", *pair)]
+        assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), *extra]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_seed_required(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -303,22 +303,23 @@ class TestMakeWindows:
 
 class TestSplitFolds:
     def test_pigeonhole(self):
-        split = dataset.split_folds(10, 10, seed=0)
-        for f in range(10):
-            assert len(split.indices_of(f)) == 1
+        fold_of = dataset.split_folds(10, 10, seed=0)
+        assert fold_of.dtype == np.int64
+        assert sorted(fold_of.tolist()) == list(range(10))
 
     def test_deterministic(self):
         a = dataset.split_folds(20, 10, seed=7)
         b = dataset.split_folds(20, 10, seed=7)
-        np.testing.assert_array_equal(a.fold_assignment, b.fold_assignment)
+        np.testing.assert_array_equal(a, b)
 
     def test_count_smaller_than_k(self):
         with pytest.raises(ValueError):
             dataset.split_folds(5, 10, seed=0)
 
     def test_partition_and_balance(self):
-        split = dataset.split_folds(103, 10, seed=3)
-        sizes = [len(split.indices_of(f)) for f in range(10)]
+        fold_of = dataset.split_folds(103, 10, seed=3)
+        assert fold_of.shape == (103,) and fold_of.min() == 0 and fold_of.max() == 9
+        sizes = np.bincount(fold_of, minlength=10)
         assert sum(sizes) == 103
         assert max(sizes) - min(sizes) <= 1
 

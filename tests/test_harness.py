@@ -34,6 +34,21 @@ class TestGoldenReport:
         assert _report_digest(tmp_path / "report.csv") == "6096e73a41def6d5798ba82898fdf6acc4e81f78b8485873c951f7f12684fcab"
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(variants=(), baseline_methods=()), "no method to run"),
+            (dict(fold_rotations=0), "fold_rotations must be >= 1"),
+            (dict(k_list=(3, 0)), "k_list entries must be >= 1"),
+        ],
+        ids=["no-method", "no-fold-rotation", "k-0"],
+    )
+    def test_config_that_sweeps_nothing_is_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(GOLDEN_CONFIG, **change)
+
+
 class TestCellTally:
     def test_batch_tally_equals_window_by_window(self):
         """`_CellResult.of_batch` keeps the bits of adding one window at a time."""
@@ -68,7 +83,7 @@ class TestPartialRows:
     def test_failed_cell_leaves_surviving_tallies(self, monkeypatch):
         """One cell of a label raises: its rows merge the other cells and say `partial:`."""
         X = np.random.default_rng(4).normal(20.0, 3.0, (60, 8))
-        last = dataset.split_folds(len(X), 3, 0).indices_of(2)
+        last = np.nonzero(dataset.split_folds(len(X), 3, 0) == 2)[0]
         X[last[0], 0] = 1e6  # beyond truncated LZW's fixed-point range: the last fold's LZW cell raises
         monkeypatch.setattr(harness, "load_windows", lambda cfg: X)
         cfg = harness.BenchmarkConfig(
