@@ -1,4 +1,4 @@
-"""Three-layer sigmoid autoencoder: parameters, forward pass, costs, gradients.
+"""Three-layer sigmoid autoencoder: parameters, costs and gradients.
 
 Cost variants:
   AE  - mean squared reconstruction error
@@ -89,14 +89,15 @@ def sigmoid(v):
     return expit(v)
 
 
-def forward(theta: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """One encode/decode pass: returns (code y, reconstruction z)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (theta.n,):
-        raise ValueError(f"input shape {x.shape} != ({theta.n},)")
-    y = sigmoid(theta.w_enc @ x + theta.b_enc)
-    z = sigmoid(theta.w_dec @ y + theta.b_dec)
-    return y, z
+def matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """`w @ v` for one vector v (n,) or for each row v of a (B, n) batch, bit for bit.
+
+    A stacked matrix-vector product runs the one-vector (gemv) kernel, so a
+    batch row keeps the bits of its vector alone; `X @ w.T` runs a
+    matrix-matrix kernel whose sums can differ in the last bit, and encoder
+    and decoder must agree on every bit.
+    """
+    return np.matmul(w, X[..., None])[..., 0]
 
 
 def _stack(data, n: int) -> np.ndarray:

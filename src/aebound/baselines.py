@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
+from .autoencoder import matvecs
 from .errors import FormatError, RangeError
 
 # ---------------------------------------------------------------------------
@@ -180,6 +181,7 @@ def _unpack_codes(data: bytes) -> list[int]:
 
 
 _MAX_FRACTION_BITS = 24
+_INTEGER_BITS = 16  # the writer's; a reader takes the width from the header
 _MAX_WIDTH = 63  # sign + integer + fraction bits of one reading, so a reading fits an int64
 
 
@@ -193,8 +195,8 @@ def _fraction_bits(bound: float) -> int:
     return min(_MAX_FRACTION_BITS, max(0, math.ceil(math.log2(1.0 / (2.0 * bound)))))
 
 
-def lzw_truncated_compress(p, bound: float, integer_bits: int = 16) -> bytes:
-    """Quantize readings to sign + integer + fraction bits, then LZW the stream.
+def lzw_truncated_compress(p, bound: float) -> bytes:
+    """Quantize readings to sign + 16 integer + fraction bits, then LZW the stream.
 
     The fraction width is the smallest making the round-to-nearest error at
     most `bound`. Output: 2 header bytes (fraction bits, integer bits) + the
@@ -204,24 +206,20 @@ def lzw_truncated_compress(p, bound: float, integer_bits: int = 16) -> bytes:
     if not np.all(np.isfinite(p)):
         raise ValueError("input contains non-finite entries")
     f = _fraction_bits(bound)
-    width = 1 + integer_bits + f
-    if integer_bits < 0 or width > _MAX_WIDTH:
-        raise ValueError(
-            f"integer_bits must be in [0, {_MAX_WIDTH - 1 - f}] with {f} fraction bits, got {integer_bits}"
-        )
+    width = 1 + _INTEGER_BITS + f
     scale = 1 << f
     rounded = np.rint(p * scale)
-    # |q| <= 2^(integer_bits + f) - 1, checked on the floats: casting one beyond int64 would wrap
-    if np.any(np.abs(rounded) >= 2.0 ** (integer_bits + f)):
-        limit = (1 << (integer_bits + f)) - 1
+    # |q| <= 2^(16 + f) - 1, checked on the floats: casting one beyond int64 would wrap
+    if np.any(np.abs(rounded) >= 2.0 ** (_INTEGER_BITS + f)):
+        limit = (1 << (_INTEGER_BITS + f)) - 1
         raise RangeError(
             f"reading outside fixed-point range +-{limit / scale} "
-            f"(integer_bits={integer_bits}, fraction_bits={f})"
+            f"(integer_bits={_INTEGER_BITS}, fraction_bits={f})"
         )
     q = rounded.astype(np.int64)
     words = (q < 0).astype(np.int64) << (width - 1) | np.abs(q)
     codes = _lzw_encode(np.packbits(_to_bits(words, width)).tobytes())
-    return bytes([f, integer_bits]) + _pack_codes(codes)
+    return bytes([f, _INTEGER_BITS]) + _pack_codes(codes)
 
 
 def lzw_truncated_decompress(data: bytes, count: int) -> np.ndarray:
@@ -281,24 +279,15 @@ def pca_fit(training, k: int) -> LinearBasisModel:
     return LinearBasisModel(mean=mean, components=vt[:k])
 
 
-def _matvecs(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`w @ v` for one vector v (n,) or for each row v of a (B, n) batch.
-
-    Every row runs the one-vector (gemv) kernel, so a batch row keeps the
-    bits of its vector alone; `x @ w.T` would run gemm, whose sums differ.
-    """
-    return np.matmul(w, x[..., None])[..., 0]
-
-
 def pca_compress(p, model: LinearBasisModel) -> np.ndarray:
     """Coefficients of one vector (n,), or of each row of a (B, n) batch."""
     p = np.asarray(p, dtype=np.float64)
-    return _matvecs(model.components, p - model.mean)
+    return matvecs(model.components, p - model.mean)
 
 
 def pca_decompress(coeffs, model: LinearBasisModel) -> np.ndarray:
     """Inverse of `pca_compress`, for (k,) or (B, k) coefficients."""
-    return model.mean + _matvecs(model.components.T, np.asarray(coeffs, dtype=np.float64))
+    return model.mean + matvecs(model.components.T, np.asarray(coeffs, dtype=np.float64))
 
 
 def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:

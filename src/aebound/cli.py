@@ -44,9 +44,12 @@ def _coerce(key: str, value: str):
     """Parse a value as its field's type: `int | None` as int, a tuple as comma-separated items."""
     hint = _FIELDS[key]
     scalar = next((t for t in typing.get_args(hint) if t not in (type(None), Ellipsis)), hint)
-    if typing.get_origin(hint) is tuple:
-        return tuple(scalar(v.strip()) for v in value.split(",") if v.strip())
-    return scalar(value)
+    try:
+        if typing.get_origin(hint) is tuple:
+            return tuple(scalar(v.strip()) for v in value.split(",") if v.strip())
+        return scalar(value)
+    except ValueError:
+        raise ValueError(f"{key} = {value!r} is not a valid {scalar.__name__}") from None
 
 
 def build_config(args) -> harness.BenchmarkConfig:
@@ -58,11 +61,14 @@ def build_config(args) -> harness.BenchmarkConfig:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     if source == "csv" and "csv_path" not in raw:
         raise UsageError("dataset=csv requires csv=<path>")
-    cfg = {k: _coerce(k, v) for k, v in raw.items()}
-    opts = LbfgsOptions(**{k: cfg.pop(k) for k in list(cfg) if k in _OPTIMIZER_FIELDS})
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    return harness.BenchmarkConfig(optimizer=opts, **cfg)
+    try:
+        cfg = {k: _coerce(k, v) for k, v in raw.items()}
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
+        opts = LbfgsOptions(**{k: cfg.pop(k) for k in list(cfg) if k in _OPTIMIZER_FIELDS})
+        return harness.BenchmarkConfig(optimizer=opts, **cfg)
+    except (ValueError, TypeError) as exc:  # each message names its key
+        raise UsageError(f"bad config value: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -86,12 +92,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _csv_windows(path, timestamp_column, model, mode):
-    matrix = dataset.fill_missing(dataset.load_csv(path, timestamp_column))
-    n = model.n
-    return dataset.make_windows(matrix, mode, n)
-
-
 def _wide_residuals(default_bound: float) -> bool:
     """Patch width on the wire, fixed by the model: 64-bit readings only for a lossless model.
 
@@ -102,12 +102,16 @@ def _wide_residuals(default_bound: float) -> bool:
 
 
 def cmd_compress(args) -> int:
+    if args.bound is not None and not args.bound >= 0:  # also rejects NaN
+        raise UsageError(f"--bound must be nonnegative, got {args.bound}")
     model, default_bound = codec.load_model(args.model)
     bound = default_bound if args.bound is None else args.bound
     wide = _wide_residuals(default_bound)
     if bound == 0.0 and not wide:
         raise UsageError(f"--bound 0 needs a lossless model; this model's default bound is {default_bound}")
-    windows = _csv_windows(args.input, args.timestamp_column, model, args.mode)
+    matrix = dataset.fill_missing(dataset.load_csv(args.input, args.timestamp_column))
+    windows = dataset.make_windows(matrix, args.mode, model.n)
+    del matrix  # windows holds a copy of every reading used; free the matrix before encoding
     packets = codec.compress_batch(windows, model, bound, wide)
     codec.write_packet_stream(packets, model.n, model.k, args.out)
     if args.verify:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import ModelParams, sigmoid
+from .autoencoder import ModelParams, matvecs, sigmoid
 from .errors import FormatError, PrecisionError, UnsupportedVersionError
 from .residual import ResidualCode, residual_code, residual_decode
 from .sphering import SpheringScale, denormalize, normalize
@@ -86,23 +86,13 @@ def _check_one(packet: Packets) -> None:
         raise ValueError(f"expected one packet, got {len(packet)}; use the batch functions")
 
 
-def _matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row i is `w @ X[i]`, bit for bit.
-
-    A stacked matrix-vector product runs the same kernel as the one-vector
-    product; `X @ w.T` runs a matrix-matrix kernel whose sums can differ in
-    the last bit, and encoder and decoder must agree on every bit.
-    """
-    return np.matmul(w, X[:, :, None])[:, :, 0]
-
-
 def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -> np.ndarray:
     """Reconstructions (B, n) from wire-precision codes (B, k) and means (B,), in float64.
 
     Bitwise identical on both sides of the link because the inputs are the
     quantized values and the computation order is fixed.
     """
-    z = sigmoid(_matvecs(model.w_dec, y32.astype(np.float64)) + model.b_dec)
+    z = sigmoid(matvecs(model.w_dec, y32.astype(np.float64)) + model.b_dec)
     return denormalize(z, m32.astype(np.float64)[:, None], model.sigma)
 
 
@@ -123,7 +113,7 @@ def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | N
         wide_residuals = bound == 0.0
 
     m32 = (np.add.reduce(P, axis=1) / model.n).astype(np.float32)  # the bits of `p.mean()`
-    y32 = sigmoid(_matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
+    y32 = sigmoid(matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
     p = P.ravel()
     q = _wire_reconstruction(y32, m32, model).ravel()
 

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, ParseError, SchemaError, WindowError
 
@@ -184,25 +183,21 @@ def fill_missing(m: SensorMatrix) -> SensorMatrix:
     return SensorMatrix(values=values, sensor_ids=m.sensor_ids, timestamps=m.timestamps)
 
 
-def make_windows(m: SensorMatrix, mode: str, n: int, stride: int | None = None) -> np.ndarray:
+def make_windows(m: SensorMatrix, mode: str, n: int) -> np.ndarray:
     """Cut input vectors out of the matrix, one per row of a (B, n) float64 array.
 
-    temporal: length-n strided slices of each sensor's row, sensor by sensor
-    (trailing partial windows dropped). spatial: one row per timestamp
-    holding all sensors' readings, n must equal the sensor count. The array
-    is always a fresh C-contiguous copy, never a view of `m.values`.
+    temporal: consecutive non-overlapping length-n slices of each sensor's
+    row, sensor by sensor (a trailing partial window is dropped). spatial: one
+    row per timestamp holding all sensors' readings, n must equal the sensor
+    count. The array is always a fresh C-contiguous copy, never a view of `m.values`.
     """
     if not np.all(np.isfinite(m.values)):
         raise ValueError("matrix contains missing values; call fill_missing first")
     if mode == "temporal":
-        if stride is None:
-            stride = n
-        if stride < 1:
-            raise ValueError("stride must be positive")
         if n < 1 or n > m.n_steps:
             raise WindowError(f"window size {n} does not fit {m.n_steps} timesteps")
-        # np.array copies: a bare reshape can return a read-only view
-        return np.array(sliding_window_view(m.values, n, axis=1)[:, ::stride]).reshape(-1, n)
+        # np.array copies once; reshaping its C-contiguous result is a view of that copy
+        return np.array(m.values[:, : m.n_steps // n * n]).reshape(-1, n)
     if mode == "spatial":
         if n != m.n_sensors:
             raise WindowError(f"spatial mode needs n == sensor count ({m.n_sensors}), got {n}")
@@ -228,13 +223,12 @@ def synth_dataset(
     seed: int,
     noise_sd: float = 0.05,
     *,
-    base_level: float = 15.0,
     period_range: tuple[float, float] = (20.0, 300.0),
     amp_range: tuple[float, float] = (1.0, 6.0),
 ) -> SensorMatrix:
     """Generate a correlated synthetic temperature-like matrix.
 
-    Every sensor shares a base signal (2-4 sinusoids plus slow drift) and
+    Every sensor shares a base signal (level 15, 2-4 sinusoids, slow drift) and
     adds its own constant spatial offset plus white noise, so rows are both
     temporally and spatially correlated. Deterministic per seed.
     """
@@ -249,7 +243,7 @@ def synth_dataset(
     offsets = rng.uniform(-3.0, 3.0, sensors)
 
     t = np.arange(steps, dtype=np.float64)
-    base = base_level + drift_rate * t
+    base = 15.0 + drift_rate * t
     for p, a, ph in zip(periods, amps, phases):
         base = base + a * np.sin(2.0 * math.pi * t / p + ph)
     noise = rng.normal(0.0, noise_sd, (sensors, steps)) if noise_sd > 0 else np.zeros((sensors, steps))

@@ -42,7 +42,6 @@ class BenchmarkConfig:
     # windowing
     mode: str = "temporal"
     window: int = 24
-    stride: int | None = None
     # sweeps
     k_list: tuple[int, ...] = (4,)
     bounds: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0)
@@ -60,8 +59,10 @@ class BenchmarkConfig:
     optimizer: LbfgsOptions = field(default_factory=LbfgsOptions)
 
     def __post_init__(self):
+        if self.mode not in ("temporal", "spatial"):
+            raise ValueError(f"mode must be 'temporal' or 'spatial', got {self.mode!r}")
         if not self.k_list or not self.bounds:
-            raise ValueError("k and bound sweep lists must be non-empty")
+            raise ValueError("k_list and bounds must be non-empty")
         if not self.variants and not self.baseline_methods:
             raise ValueError("variants and baseline_methods are both empty: no method to run")
         if min(self.k_list) < 1:  # the harness labels LTC and LZW cells with k = 0
@@ -74,10 +75,10 @@ class BenchmarkConfig:
             raise ValueError("repetitions must be >= 1")
         for v in self.variants:
             if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+                raise ValueError(f"unknown variant {v!r} in variants")
         for m in self.baseline_methods:
             if m not in BASELINE_METHODS:
-                raise ValueError(f"unknown baseline {m!r}")
+                raise ValueError(f"unknown baseline {m!r} in baseline_methods")
         for b in self.bounds:
             if not b >= 0:  # also rejects NaN
                 raise ValueError(f"bounds must be nonnegative, got {b}")
@@ -100,7 +101,7 @@ def load_windows(cfg: BenchmarkConfig) -> np.ndarray:
             period_range=cfg.period_range, amp_range=cfg.amp_range,
         )
     n = cfg.window if cfg.mode == "temporal" else matrix.n_sensors
-    return dataset.make_windows(matrix, cfg.mode, n, cfg.stride)
+    return dataset.make_windows(matrix, cfg.mode, n)
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -248,6 +249,9 @@ def _eval_cell(round_trip, test_X, bounds):
 
 def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
     """Run the full sweep; one row per (method label, bound), failures tallied per row."""
+    threads = os.environ.get("AEB_THREADS", "1")
+    if not threads.strip().isdecimal() or int(threads) < 1:
+        raise ValueError(f"AEB_THREADS must be an integer >= 1, got {threads!r}")
     windows = load_windows(cfg)
     fold_of = dataset.split_folds(len(windows), cfg.folds, cfg.seed)
     rotations = range(cfg.folds if cfg.fold_rotations is None else min(cfg.fold_rotations, cfg.folds))
@@ -271,12 +275,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
                         )
                     )
 
-    n_threads = int(os.environ.get("AEB_THREADS", "1"))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(_run_cell, [fn for _, fn in tasks]))
-    else:
-        outcomes = [_run_cell(fn) for _, fn in tasks]
+    with ThreadPoolExecutor(max_workers=int(threads)) as pool:  # map keeps task order, whatever the count
+        outcomes = list(pool.map(_run_cell, [fn for _, fn in tasks]))
 
     agg = {(label, bound): _CellResult() for label, _ in tasks for bound in cfg.bounds}
     failures: dict[str, str] = {}  # label -> its first failed cell's error

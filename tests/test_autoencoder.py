@@ -41,55 +41,19 @@ class TestSigmoid:
         assert ae.sigmoid(v) == pytest.approx(expected, rel=1e-12)
 
 
-class TestForward:
-    def test_all_zero_parameters(self):
-        theta = ae.ModelParams(
-            w_enc=np.zeros((2, 3)), b_enc=np.zeros(2), w_dec=np.zeros((3, 2)),
-            b_dec=np.zeros(3), n=3, k=2, sigma=SpheringScale(1.0),
-        )
-        y, z = ae.forward(theta, np.array([0.3, 0.5, 0.7]))
-        np.testing.assert_array_equal(y, 0.5)
-        np.testing.assert_array_equal(z, 0.5)
-
-    def test_hand_evaluation(self):
-        with pytest.warns(UserWarning):  # k >= n
-            theta = ae.ModelParams(
-                w_enc=np.array([[0.0]]), b_enc=np.array([0.0]), w_dec=np.array([[4.0]]),
-                b_dec=np.array([-2.0]), n=1, k=1, sigma=SpheringScale(1.0),
+class TestModelParams:
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 5)])
+    def test_code_at_least_as_wide_as_input_warns(self, n, k):
+        with pytest.warns(UserWarning, match="no compression"):
+            ae.ModelParams(
+                w_enc=np.zeros((k, n)), b_enc=np.zeros(k), w_dec=np.zeros((n, k)),
+                b_dec=np.zeros(n), n=n, k=k, sigma=SpheringScale(1.0),
             )
-        y, z = ae.forward(theta, np.array([0.5]))
-        assert y[0] == pytest.approx(0.5)
-        assert z[0] == pytest.approx(ae.sigmoid(4.0 * 0.5 - 2.0)) == pytest.approx(0.5)
 
-    def test_matches_straightforward_reimplementation(self):
-        rng = np.random.default_rng(3)
-        theta = ae.init_params(6, 3, seed=5)
-        x = rng.uniform(0.1, 0.9, 6)
-        y, z = ae.forward(theta, x)
-        # independent loop-based evaluation
-        y2 = np.array(
-            [1.0 / (1.0 + np.exp(-(sum(theta.w_enc[i, j] * x[j] for j in range(6)) + theta.b_enc[i])))
-             for i in range(3)]
-        )
-        z2 = np.array(
-            [1.0 / (1.0 + np.exp(-(sum(theta.w_dec[i, j] * y2[j] for j in range(3)) + theta.b_dec[i])))
-             for i in range(6)]
-        )
-        np.testing.assert_allclose(y, y2, atol=1e-12)
-        np.testing.assert_allclose(z, z2, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        theta = ae.init_params(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            ae.forward(theta, np.zeros(5))
-
-    def test_outputs_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(9)
-        theta = ae.init_params(8, 3, seed=1)
-        for _ in range(20):
-            y, z = ae.forward(theta, rng.uniform(0, 1, 8))
-            assert np.all(y > 0) and np.all(y < 1)
-            assert np.all(z > 0) and np.all(z < 1)
+    def test_narrower_code_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ae.init_params(4, 3, seed=0)
 
 
 class TestCost:

@@ -220,8 +220,8 @@ class TestBench:
     def test_config_that_sweeps_nothing_fails(self, tiny_config, tmp_path, capsys, pairs):
         outdir = tmp_path / "report"
         extra = [arg for pair in pairs for arg in ("--set", *pair)]
-        assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), *extra]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), *extra]) == 2
+        assert "usage error:" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_seed_required(self, tiny_config, tmp_path):
@@ -249,6 +249,7 @@ class TestBench:
 
     def test_thread_pool_matches_sequential(self, tiny_config, tmp_path, monkeypatch):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
+        monkeypatch.setenv("AEB_THREADS", "1")
         cli.main(["bench", "--config", tiny_config, "--seed", "9", "--out", out1])
         monkeypatch.setenv("AEB_THREADS", "4")
         cli.main(["bench", "--config", tiny_config, "--seed", "9", "--out", out2])
@@ -283,6 +284,35 @@ class TestConfigKeys:
         assert cli.main(["bench", "--config", tiny_config, "--seed", "1", "--out", str(outdir), "--set", key, value]) == 2
         assert key in capsys.readouterr().err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("bench", ["--set", "mode", "bogus"], "mode"),
+            ("bench", ["--set", "fold_rotations", "0"], "fold_rotations"),
+            ("bench", ["--set", "folds", "1"], "folds"),
+            ("bench", ["--set", "variants", "bogus"], "variants"),
+            ("bench", ["--set", "k", "abc"], "k_list"),
+            ("bench", ["--set", "max_iters", "0"], "max_iters"),
+            ("bench", ["--set", "bounds", "-1"], "bounds"),
+            ("bench", ["--set", "stride", "2"], "stride"),  # windows never overlap; no such key
+            ("compress", ["--bound", "nan"], "--bound"),
+            ("compress", ["--bound", "-1"], "--bound"),
+        ],
+        ids=["mode", "fold_rotations", "folds", "variants", "k", "max_iters", "bounds", "stride",
+             "bound-nan", "bound-negative"],
+    )
+    def test_bad_value_is_usage_error(self, tiny_config, tmp_path, capsys, command, extra, named):
+        # compress checks --bound before it opens the model or the CSV, neither of which exists here
+        prefix = {
+            "bench": ["bench", "--config", tiny_config, "--seed", "1"],
+            "compress": ["compress", "--model", str(tmp_path / "m.aeb"), "--input", str(tmp_path / "in.csv")],
+        }[command]
+        out = tmp_path / "out"
+        assert cli.main([*prefix, *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["file", "set"])
     def test_unknown_key_is_usage_error(self, tiny_config, tmp_path, capsys, where):

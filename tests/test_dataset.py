@@ -240,7 +240,7 @@ class TestFillMissing:
 
 class TestMakeWindows:
     def test_exact_tiling(self):
-        out = dataset.make_windows(matrix([[1, 2, 3, 4, 5, 6]]), "temporal", 3, 3)
+        out = dataset.make_windows(matrix([[1, 2, 3, 4, 5, 6]]), "temporal", 3)
         np.testing.assert_array_equal(out, [[1, 2, 3], [4, 5, 6]])
 
     def test_spatial_23_sensors(self):
@@ -260,21 +260,22 @@ class TestMakeWindows:
             sensors = int(rng.integers(1, 5))
             steps = int(rng.integers(1, 40))
             n = int(rng.integers(1, steps + 1))
-            stride = int(rng.integers(1, 6))
             m = matrix(rng.normal(size=(sensors, steps)))
             brute = [
                 m.values[s, start : start + n]
                 for s in range(sensors)
-                for start in range(0, steps - n + 1, stride)
+                for start in range(0, steps - n + 1, n)
             ]
-            assert np.array_equal(dataset.make_windows(m, "temporal", n, stride), np.array(brute))
+            assert np.array_equal(dataset.make_windows(m, "temporal", n), np.array(brute))
 
     @pytest.mark.parametrize(
-        "mode, n, stride", [("temporal", 3, 3), ("temporal", 4, 2), ("temporal", 6, 1), ("spatial", 2, None)]
+        "mode, n, per_sensor", [("temporal", 3, 3), ("temporal", 4, 2), ("temporal", 6, 1), ("spatial", 2, None)]
     )
-    def test_fresh_float64_c_contiguous_array(self, mode, n, stride):
-        m = matrix([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
-        out = dataset.make_windows(m, mode, n, stride)
+    def test_fresh_float64_c_contiguous_array(self, mode, n, per_sensor):
+        # 9 steps: n = 3 takes every column (a contiguous slice), n = 4 and 6 drop a partial window
+        m = matrix([range(1, 10), range(11, 20)])
+        out = dataset.make_windows(m, mode, n)
+        assert out.shape == ((9, 2) if per_sensor is None else (2 * per_sensor, n))
         assert out.dtype == np.float64
         assert out.flags.c_contiguous and out.flags.writeable
         assert not np.shares_memory(out, m.values)
@@ -289,16 +290,15 @@ class TestMakeWindows:
             sensors = int(rng.integers(1, 5))
             steps = int(rng.integers(5, 40))
             n = int(rng.integers(1, steps + 1))
-            stride = int(rng.integers(1, 6))
             m = matrix(rng.normal(size=(sensors, steps)))
-            got = len(dataset.make_windows(m, "temporal", n, stride))
+            got = len(dataset.make_windows(m, "temporal", n))
             brute = sum(
                 1
                 for _ in range(sensors)
                 for start in range(0, steps)
-                if start % stride == 0 and start + n <= steps
+                if start % n == 0 and start + n <= steps
             )
-            assert got == brute == sensors * ((steps - n) // stride + 1)
+            assert got == brute == sensors * (steps // n)
 
 
 class TestSplitFolds:

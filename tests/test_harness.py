@@ -49,6 +49,14 @@ class TestConfigValidation:
             dataclasses.replace(GOLDEN_CONFIG, **change)
 
 
+class TestThreads:
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("AEB_THREADS", value)
+        with pytest.raises(ValueError, match="AEB_THREADS"):
+            harness.run_benchmark(GOLDEN_CONFIG)
+
+
 class TestCellTally:
     def test_batch_tally_equals_window_by_window(self):
         """`_CellResult.of_batch` keeps the bits of adding one window at a time."""
