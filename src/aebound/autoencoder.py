@@ -11,6 +11,7 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ from .sphering import SpheringScale
 VARIANTS = ("ae", "wae", "sae")
 
 _RHO_HAT_CLIP = 1e-8  # sigmoid outputs can underflow to exactly 0/1 in floats
+_PARAM_NAMES = ("w_enc", "b_enc", "w_dec", "b_dec")  # flat-vector order
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class ModelParams:
     sigma: SpheringScale
 
     def __post_init__(self):
-        for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
+        for name in _PARAM_NAMES:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
@@ -68,8 +70,8 @@ class CostConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.beta < 0 or self.eta < 0:
-            raise ValueError("beta and eta must be nonnegative")
+        if not (0.0 <= self.beta < math.inf and 0.0 <= self.eta < math.inf):  # also rejects NaN
+            raise ValueError(f"beta and eta must be finite and nonnegative, got beta={self.beta}, eta={self.eta}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
 
@@ -110,51 +112,86 @@ def _stack(data, n: int) -> np.ndarray:
     return X
 
 
-def _forward_batch(theta: ModelParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Y = sigmoid(X @ theta.w_enc.T + theta.b_enc)
-    Z = sigmoid(Y @ theta.w_dec.T + theta.b_dec)
-    return Y, Z
-
-
 def kl_divergence(rho: float, rho_hat) -> np.ndarray:
     """Bernoulli KL(rho || rho_hat), elementwise."""
     rho_hat = np.asarray(rho_hat, dtype=np.float64)
     return rho * np.log(rho / rho_hat) + (1.0 - rho) * np.log((1.0 - rho) / (1.0 - rho_hat))
 
 
-def cost_and_grad(theta: ModelParams, data, cfg: CostConfig) -> tuple[float, CostGradient]:
-    """Training objective for the configured variant and its analytic gradient.
+def _blocks(vec: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Views of w_enc (k, n), b_enc (k), w_dec (n, k) and b_dec (n) in a flat vector of that layout."""
+    size = 2 * k * n + k + n
+    if vec.shape != (size,):
+        raise ValueError(f"parameter vector has length {vec.shape}, expected ({size},)")
+    return (vec[: k * n].reshape(k, n), vec[k * n : k * n + k],
+            vec[k * n + k : 2 * k * n + k].reshape(n, k), vec[2 * k * n + k :])
 
-    One forward pass over the whole batch feeds both the cost and the reverse
-    pass through the two sigmoid layers.
+
+def flat_cost_and_grad(vec: np.ndarray, X: np.ndarray, n: int, k: int, cfg: CostConfig) -> tuple[float, np.ndarray]:
+    """Training objective and its analytic gradient at a flat parameter vector.
+
+    `vec` is laid out as `flatten_params` packs it, and `X` is the stacked
+    (B, n) float64 batch. One forward pass over the whole batch feeds both the
+    cost and the reverse pass through the two sigmoid layers. Every
+    intermediate is computed in place and every gradient block is written
+    straight into the returned flat vector, in `vec`'s layout. Each operation
+    keeps the order and operands of the plain out-of-place formulas, so fits
+    stay bit-identical to them; the tests compare the two bit for bit.
     """
-    X = _stack(data, theta.n)
+    w_enc, b_enc, w_dec, b_dec = blocks = _blocks(vec, n, k)
+    if not np.isfinite(vec).all():
+        name = next(name for name, b in zip(_PARAM_NAMES, blocks) if not np.isfinite(b).all())
+        raise ValueError(f"{name} contains non-finite entries")
     B = X.shape[0]
-    Y, Z = _forward_batch(theta, X)
+    grad = np.empty_like(vec)
+    g_wenc, g_benc, g_wdec, g_bdec = _blocks(grad, n, k)
 
-    total = float(np.mean(0.5 * np.sum((X - Z) ** 2, axis=1)))
-    delta_z = ((Z - X) / B) * Z * (1.0 - Z)  # B x n
-    g_wdec = delta_z.T @ Y
-    g_bdec = delta_z.sum(axis=0)
+    Y = np.matmul(X, w_enc.T)  # B x k
+    Y += b_enc
+    expit(Y, out=Y)
+    Z = np.matmul(Y, w_dec.T)  # B x n
+    Z += b_dec
+    expit(Z, out=Z)
 
-    back = delta_z @ theta.w_dec  # B x k
+    D = Z - X  # becomes delta_z = ((Z - X) / B) * Z * (1 - Z)
+    half_sq = np.add.reduce(D * D, axis=1)
+    half_sq *= 0.5  # half the squared error of each vector
+    total = float(np.add.reduce(half_sq) / B)  # their mean, as np.mean computes it
+    D /= B
+    D *= Z
+    D *= np.subtract(1.0, Z, out=Z)
+    np.matmul(D.T, Y, out=g_wdec)
+    np.add.reduce(D, axis=0, out=g_bdec)
+
+    back = np.matmul(D, w_dec)  # B x k; becomes delta_y = back * Y * (1 - Y)
     if cfg.variant in ("wae", "sae"):
-        total += 0.5 * cfg.beta * (float(np.sum(theta.w_enc**2)) + float(np.sum(theta.w_dec**2)))
+        total += 0.5 * cfg.beta * (float(np.sum(w_enc**2)) + float(np.sum(w_dec**2)))
     if cfg.variant == "sae":
         rho_hat_raw = Y.mean(axis=0)
         rho_hat = np.clip(rho_hat_raw, _RHO_HAT_CLIP, 1.0 - _RHO_HAT_CLIP)
         total += cfg.eta * float(np.sum(kl_divergence(cfg.rho, rho_hat)))
         kl_grad = cfg.eta * (-cfg.rho / rho_hat + (1.0 - cfg.rho) / (1.0 - rho_hat))
         kl_grad = np.where(rho_hat_raw == rho_hat, kl_grad, 0.0)  # clamp is flat
-        back = back + kl_grad / B
-    delta_y = back * Y * (1.0 - Y)  # B x k
-    g_wenc = delta_y.T @ X
-    g_benc = delta_y.sum(axis=0)
+        back += kl_grad / B
+    back *= Y
+    back *= np.subtract(1.0, Y, out=Y)
+    np.matmul(back.T, X, out=g_wenc)
+    np.add.reduce(back, axis=0, out=g_benc)
 
     if cfg.variant in ("wae", "sae"):
-        g_wenc = g_wenc + cfg.beta * theta.w_enc
-        g_wdec = g_wdec + cfg.beta * theta.w_dec
-    return total, CostGradient(w_enc=g_wenc, b_enc=g_benc, w_dec=g_wdec, b_dec=g_bdec)
+        g_wenc += cfg.beta * w_enc
+        g_wdec += cfg.beta * w_dec
+    return total, grad
+
+
+def cost_and_grad(theta: ModelParams, data, cfg: CostConfig) -> tuple[float, CostGradient]:
+    """Training objective for the configured variant and its analytic gradient.
+
+    The math is `flat_cost_and_grad`'s; the gradient blocks are views of its flat gradient.
+    """
+    X = _stack(data, theta.n)
+    total, grad = flat_cost_and_grad(flatten_params(theta), X, theta.n, theta.k, cfg)
+    return total, CostGradient(*_blocks(grad, theta.n, theta.k))
 
 
 def cost(theta: ModelParams, data, cfg: CostConfig) -> float:
@@ -196,16 +233,5 @@ def flatten_gradient(g: CostGradient) -> np.ndarray:
 
 
 def unflatten_params(vec: np.ndarray, n: int, k: int, sigma: SpheringScale) -> ModelParams:
-    vec = np.asarray(vec, dtype=np.float64)
-    expected = k * n + k + n * k + n
-    if vec.shape != (expected,):
-        raise ValueError(f"parameter vector has length {vec.shape}, expected ({expected},)")
-    i = 0
-    w_enc = vec[i : i + k * n].reshape(k, n)
-    i += k * n
-    b_enc = vec[i : i + k]
-    i += k
-    w_dec = vec[i : i + n * k].reshape(n, k)
-    i += n * k
-    b_dec = vec[i : i + n]
+    w_enc, b_enc, w_dec, b_dec = _blocks(np.asarray(vec, dtype=np.float64), n, k)
     return ModelParams(w_enc=w_enc, b_enc=b_enc, w_dec=w_dec, b_dec=b_dec, n=n, k=k, sigma=sigma)

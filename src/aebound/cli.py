@@ -56,6 +56,8 @@ def build_config(args) -> harness.BenchmarkConfig:
     pairs = list(parse_config_file(args.config).items()) if args.config else []
     raw = {_ALIASES.get(key, key): value for key, value in pairs + (args.set or [])}  # --set wins
     source = raw.pop("dataset", "synth")
+    if source not in ("synth", "csv"):
+        raise UsageError(f"dataset must be 'synth' or 'csv', got {source!r}")
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")

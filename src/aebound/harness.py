@@ -59,6 +59,10 @@ class BenchmarkConfig:
     optimizer: LbfgsOptions = field(default_factory=LbfgsOptions)
 
     def __post_init__(self):
+        CostConfig(beta=self.beta, eta=self.eta, rho=self.rho)  # raises on a bad hyperparameter
+        for name in ("window", "sensors", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in ("temporal", "spatial"):
             raise ValueError(f"mode must be 'temporal' or 'spatial', got {self.mode!r}")
         if not self.k_list or not self.bounds:

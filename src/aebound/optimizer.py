@@ -8,6 +8,7 @@ objective.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -73,7 +74,7 @@ def _quadratic_min(a, fa, ga, b, fb):
     if top == 0:
         return None
     t = a - ga * denom / (2.0 * top)
-    return t if np.isfinite(t) else None
+    return t if math.isfinite(t) else None
 
 
 def _zoom(phi, lo, hi, f0, g0):
@@ -85,7 +86,7 @@ def _zoom(phi, lo, hi, f0, g0):
         if t is None or not (left + 0.1 * span <= t <= right - 0.1 * span):
             t = 0.5 * (lo.step + hi.step)
         p = phi(t)
-        if not np.isfinite(p.f) or p.f > f0 + WOLFE_C1 * t * g0 or p.f >= lo.f:
+        if not math.isfinite(p.f) or p.f > f0 + WOLFE_C1 * t * g0 or p.f >= lo.f:
             hi = p
         else:
             if abs(p.slope) <= -WOLFE_C2 * g0:
@@ -100,7 +101,7 @@ def _zoom(phi, lo, hi, f0, g0):
 
 def _first_step(g):
     """Scaled initial step for a search without curvature history (first iterate or restart)."""
-    return min(1.0, 1.0 / max(1e-12, float(np.sum(np.abs(g)))))
+    return min(1.0, 1.0 / max(1e-12, float(np.abs(g).sum())))
 
 
 def _strong_wolfe(objective, x, d, f, g, alpha0):
@@ -117,7 +118,7 @@ def _strong_wolfe(objective, x, d, f, g, alpha0):
     alpha = alpha0
     for i in range(MAX_LINE_SEARCH_STEPS):
         p = phi(alpha)
-        if not np.isfinite(p.f) or p.f > f0 + WOLFE_C1 * alpha * g0 or (i > 0 and p.f >= prev.f):
+        if not math.isfinite(p.f) or p.f > f0 + WOLFE_C1 * alpha * g0 or (i > 0 and p.f >= prev.f):
             return _zoom(phi, prev, p, f0, g0)
         if abs(p.slope) <= -WOLFE_C2 * g0:
             return p
@@ -135,16 +136,16 @@ def minimize(
 ) -> tuple[np.ndarray, TrainingTrace]:
     """L-BFGS minimization; returns the best iterate found and a trace."""
     x = np.asarray(theta0, dtype=np.float64).copy()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("theta0 contains non-finite entries")
     f, g = objective(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
+    if not (math.isfinite(f) and np.isfinite(g).all()):
         raise ValueError("objective is non-finite at theta0")
 
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=opts.history)  # (s, y, 1 / s.y)
     cost_history = [float(f)]
     best_x, best_f = x.copy(), f
-    gnorm = best_gnorm = float(np.max(np.abs(g)))
+    gnorm = best_gnorm = float(np.abs(g).max())
     stop_reason = "max_iters"
     iterations = 0
 
@@ -182,8 +183,8 @@ def minimize(
             # plain step along d if it still shrinks the gradient
             for alpha in (1.0, 0.5, 0.25, 0.1):
                 point = _point(objective, x, d, alpha)
-                finite = np.isfinite(point.f) and np.all(np.isfinite(point.grad))
-                if finite and np.max(np.abs(point.grad)) < gnorm:
+                finite = math.isfinite(point.f) and np.isfinite(point.grad).all()
+                if finite and np.abs(point.grad).max() < gnorm:
                     break
             else:
                 stop_reason = "line_search_failure"
@@ -193,12 +194,12 @@ def minimize(
         s = x_new - x
         yv = point.grad - g
         sy = float(s @ yv)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
             hist.append((s, yv, 1.0 / sy))
 
         x, f, g = x_new, point.f, np.asarray(point.grad, dtype=np.float64)
         cost_history.append(float(f))
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         slack = 1e-14 * (1.0 + abs(best_f))  # f ties at roundoff level
         if f < best_f - slack or (f <= best_f + slack and gnorm < best_gnorm):
             best_f, best_gnorm, best_x = f, gnorm, x.copy()
@@ -229,9 +230,6 @@ def train(
     theta0 = autoencoder.init_params(n, k, seed, sigma=sigma)
     x0 = autoencoder.flatten_params(theta0)
 
-    def objective(vec):
-        c, g = autoencoder.cost_and_grad(autoencoder.unflatten_params(vec, n, k, sigma), X, cfg)
-        return c, autoencoder.flatten_gradient(g)
-
+    objective = partial(autoencoder.flat_cost_and_grad, X=X, n=n, k=k, cfg=cfg)
     x_star, trace = minimize(objective, x0, opts)
     return autoencoder.unflatten_params(x_star, n, k, sigma), trace

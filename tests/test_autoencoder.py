@@ -192,6 +192,90 @@ class TestCostAndGrad:
             ae.cost_and_grad(theta, data, ae.CostConfig("ae"))
 
 
+def reference_cost_and_grad(theta, X, cfg):
+    """The objective as separate out-of-place array expressions: the reference for the fused one."""
+    B = X.shape[0]
+    Y = ae.sigmoid(X @ theta.w_enc.T + theta.b_enc)
+    Z = ae.sigmoid(Y @ theta.w_dec.T + theta.b_dec)
+    total = float(np.mean(0.5 * np.sum((X - Z) ** 2, axis=1)))
+    delta_z = ((Z - X) / B) * Z * (1.0 - Z)
+    g_wdec = delta_z.T @ Y
+    g_bdec = delta_z.sum(axis=0)
+    back = delta_z @ theta.w_dec
+    if cfg.variant in ("wae", "sae"):
+        total += 0.5 * cfg.beta * (float(np.sum(theta.w_enc**2)) + float(np.sum(theta.w_dec**2)))
+    if cfg.variant == "sae":
+        rho_hat_raw = Y.mean(axis=0)
+        rho_hat = np.clip(rho_hat_raw, 1e-8, 1.0 - 1e-8)
+        total += cfg.eta * float(np.sum(ae.kl_divergence(cfg.rho, rho_hat)))
+        kl_grad = cfg.eta * (-cfg.rho / rho_hat + (1.0 - cfg.rho) / (1.0 - rho_hat))
+        back = back + np.where(rho_hat_raw == rho_hat, kl_grad, 0.0) / B
+    delta_y = back * Y * (1.0 - Y)
+    g_wenc = delta_y.T @ X
+    g_benc = delta_y.sum(axis=0)
+    if cfg.variant in ("wae", "sae"):
+        g_wenc = g_wenc + cfg.beta * theta.w_enc
+        g_wdec = g_wdec + cfg.beta * theta.w_dec
+    return total, np.concatenate([g_wenc.ravel(), g_benc, g_wdec.ravel(), g_bdec])
+
+
+def random_params(rng, n, k, saturated=False):
+    theta = ae.init_params(n, k, seed=int(rng.integers(1 << 30)))
+    vec = ae.flatten_params(theta)
+    vec += rng.normal(0, 0.3, vec.size)  # nonzero biases too
+    if saturated:  # hidden units 0 and 1 pinned near 0 and 1: the rho_hat clip is active
+        vec[k * n : k * n + 2] = (-60.0, 60.0)
+    return ae.unflatten_params(vec, n, k, theta.sigma)
+
+
+class TestFlatCostAndGrad:
+    @pytest.mark.parametrize("saturated", [False, True], ids=["free", "clipped"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("variant", ["ae", "wae", "sae"])
+    def test_equals_reference_bit_for_bit(self, variant, seed, saturated):
+        rng = np.random.default_rng(seed)
+        n, k, B = 9, 4, 37
+        theta = random_params(rng, n, k, saturated)
+        X = rng.uniform(0.05, 0.95, (B, n))
+        cfg = ae.CostConfig(variant, beta=0.03, eta=0.2, rho=0.07)
+        if saturated:
+            rho_hat = ae.sigmoid(X @ theta.w_enc.T + theta.b_enc).mean(axis=0)
+            assert rho_hat[0] < 1e-8 and rho_hat[1] > 1.0 - 1e-8
+        want_cost, want_grad = reference_cost_and_grad(theta, X, cfg)
+        vec = ae.flatten_params(theta)
+        got_cost, got_grad = ae.flat_cost_and_grad(vec, X, n, k, cfg)
+        assert got_cost == want_cost
+        assert got_grad.tobytes() == want_grad.tobytes()
+        c, g = ae.cost_and_grad(theta, X, cfg)
+        assert c == want_cost
+        assert ae.flatten_gradient(g).tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("block", range(4))
+    def test_non_finite_entry_raises_model_params_message(self, block, bad):
+        n, k = 5, 2
+        theta = ae.init_params(n, k, seed=3)
+        vec = ae.flatten_params(theta)
+        vec[[0, k * n, k * n + k, 2 * k * n + k][block] + 1] = bad
+        with pytest.raises(ValueError) as expected:
+            ae.unflatten_params(vec, n, k, theta.sigma)
+        with pytest.raises(ValueError) as got:
+            ae.flat_cost_and_grad(vec, np.full((3, n), 0.5), n, k, ae.CostConfig("sae"))
+        assert str(got.value) == str(expected.value) == f"{ae._PARAM_NAMES[block]} contains non-finite entries"
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"parameter vector has length \(20,\), expected \(22,\)"):
+            ae.flat_cost_and_grad(np.zeros(20), np.full((3, 4), 0.5), 4, 2, ae.CostConfig("ae"))
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(4)
+        theta = random_params(rng, 6, 2)
+        vec, X = ae.flatten_params(theta), rng.uniform(0, 1, (8, 6))
+        vec0, X0 = vec.copy(), X.copy()
+        ae.flat_cost_and_grad(vec, X, 6, 2, ae.CostConfig("sae"))
+        assert vec.tobytes() == vec0.tobytes() and X.tobytes() == X0.tobytes()
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = ae.init_params(10, 3, seed=42)
@@ -224,8 +308,8 @@ class TestInitParams:
         np.testing.assert_array_equal(back.b_dec, theta.b_dec)
 
     def test_threads_leave_the_warning_filters_alone(self):
-        # optimizer.train unflattens on every evaluation, in harness worker threads
-        # when AEB_THREADS > 1; the process-wide warning filters must come out unchanged
+        # optimizer.train unflattens its result in harness worker threads when
+        # AEB_THREADS > 1; the process-wide warning filters must come out unchanged
         theta = ae.init_params(6, 2, seed=3)
         vec = ae.flatten_params(theta)
         before = list(warnings.filters)

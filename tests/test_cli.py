@@ -296,10 +296,19 @@ class TestConfigKeys:
             ("bench", ["--set", "max_iters", "0"], "max_iters"),
             ("bench", ["--set", "bounds", "-1"], "bounds"),
             ("bench", ["--set", "stride", "2"], "stride"),  # windows never overlap; no such key
+            ("bench", ["--set", "dataset", "bogus"], "dataset"),
+            ("bench", ["--set", "rho", "2"], "rho"),
+            ("bench", ["--set", "beta", "-1"], "beta"),
+            ("bench", ["--set", "beta", "nan"], "beta"),
+            ("bench", ["--set", "eta", "-0.5"], "eta"),
+            ("bench", ["--set", "window", "0"], "window"),
+            ("bench", ["--set", "sensors", "0"], "sensors"),
+            ("bench", ["--set", "steps", "0"], "steps"),
             ("compress", ["--bound", "nan"], "--bound"),
             ("compress", ["--bound", "-1"], "--bound"),
         ],
         ids=["mode", "fold_rotations", "folds", "variants", "k", "max_iters", "bounds", "stride",
+             "dataset", "rho", "beta", "beta-nan", "eta", "window", "sensors", "steps",
              "bound-nan", "bound-negative"],
     )
     def test_bad_value_is_usage_error(self, tiny_config, tmp_path, capsys, command, extra, named):

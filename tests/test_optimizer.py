@@ -1,10 +1,11 @@
 import gc
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from aebound import autoencoder as ae, optimizer
+from aebound import autoencoder as ae, dataset, optimizer
 from aebound.optimizer import LbfgsOptions, minimize, train
 
 pytestmark = pytest.mark.filterwarnings("ignore:code dimension")
@@ -177,21 +178,40 @@ class TestTrain:
         assert model.sigma.sigma == estimate_sigma(data).sigma
 
     def test_one_forward_pass_per_evaluation(self, monkeypatch):
-        counts = {"evals": 0, "forward": 0}
-        cost_and_grad, forward_batch = ae.cost_and_grad, ae._forward_batch
+        counts = {"evals": 0, "layers": 0}
+        flat_cost_and_grad, expit = ae.flat_cost_and_grad, ae.expit
 
-        def counted_eval(*args):
+        def counted_eval(*args, **kwargs):
             counts["evals"] += 1
-            return cost_and_grad(*args)
+            return flat_cost_and_grad(*args, **kwargs)
 
-        def counted_forward(*args):
-            counts["forward"] += 1
-            return forward_batch(*args)
+        def counted_layer(*args, **kwargs):
+            counts["layers"] += 1
+            return expit(*args, **kwargs)
 
-        monkeypatch.setattr(ae, "cost_and_grad", counted_eval)
-        monkeypatch.setattr(ae, "_forward_batch", counted_forward)
+        monkeypatch.setattr(ae, "flat_cost_and_grad", counted_eval)
+        monkeypatch.setattr(ae, "expit", counted_layer)
         rng = np.random.default_rng(6)
         data = [rng.normal(0, 1, 6) for _ in range(15)]
         train(data, 6, 2, ae.CostConfig("sae"), LbfgsOptions(max_iters=10), seed=2)
         assert counts["evals"] > 10
-        assert counts["forward"] == counts["evals"]
+        assert counts["layers"] == 2 * counts["evals"]  # a forward pass is two sigmoid layers
+
+
+class TestGoldenFit:
+    """Pinned fits of every variant with the default options, so a change to the objective or
+    the optimizer that moves one bit of the weights or of the cost history shows."""
+
+    WINDOWS = dataset.make_windows(dataset.synth_dataset(4, 600, seed=5, noise_sd=0.02), "temporal", 12)
+
+    @pytest.mark.parametrize("variant, iterations, stop_reason, digest", [
+        ("ae", 400, "max_iters", "f1e23fa2fae5e7eb5e803bff3c75220d83f1e67c4bedf73078c9274e61aeee78"),
+        ("wae", 286, "converged", "bf6c1fa178fdb0c0c3a492451387ecfdaa58e22c3975416bdab46304e2497cc5"),
+        ("sae", 194, "converged", "7d225a5f1e6d5b48c624ccea61d288ca33e30dbb8f43233bf741463a29959aa1"),
+    ], ids=["ae", "wae", "sae"])
+    def test_weights_and_history(self, variant, iterations, stop_reason, digest):
+        model, trace = train(self.WINDOWS, 12, 3, ae.CostConfig(variant), LbfgsOptions(), seed=11)
+        h = hashlib.sha256()
+        for a in (model.w_enc, model.b_enc, model.w_dec, model.b_dec, np.array(trace.cost_history)):
+            h.update(a.tobytes())
+        assert (trace.iterations, trace.stop_reason, h.hexdigest()) == (iterations, stop_reason, digest)
