@@ -10,6 +10,7 @@ benchmark harness when a bound is required.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,56 +25,105 @@ from .errors import FormatError, RangeError
 # ---------------------------------------------------------------------------
 
 
-def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy corridor segmentation; every sample stays within +-bound.
+def _narrow(x, bound, sv, dt, lo, hi):
+    """One corridor step for a batch of rows: the narrowed (lo, hi) and the rows it left empty."""
+    nlo = (x - bound - sv) / dt
+    nhi = (x + bound - sv) / dt
+    # Python's max(lo, nlo) and min(hi, nhi), which np.maximum/np.minimum differ from on -0.0 and NaN
+    tlo, thi = np.where(nlo > lo, nlo, lo), np.where(nhi < hi, nhi, hi)
+    return tlo, thi, ~(tlo <= thi)
 
-    Returns the knots of the fit: int64 sample indices (0 first, n-1 last,
-    strictly increasing) and their float64 values. Raises RangeError when
-    float64 arithmetic cannot keep the decode within the bound, e.g. for
-    readings many orders of magnitude above it. The decode made for that check
-    is written to `out` when one is given, so a round trip need not decode twice.
+
+def ltc_compress_batch(P, bound: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy corridor segmentation of each row of a (B, n) batch; every sample stays within +-bound.
+
+    Returns the (B, n) knot mask (each row's first and last samples are
+    knots), the knot values (0 off the knots) and their decode. A row's
+    knots and decode are those of a corridor loop over that row alone. Raises
+    RangeError when float64 arithmetic cannot keep a row's decode within the
+    bound, e.g. for readings many orders of magnitude above it.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] < 2:
+        raise ValueError(f"expected a (B, n) batch with n >= 2, got shape {P.shape}")
+    if not bound > 0:  # also rejects NaN
+        raise ValueError(f"bound must be positive, got {bound}")
+    B, n = P.shape
+    knots = np.zeros((B, n), dtype=bool)
+    knots[:, [0, -1]] = True
+    values = np.zeros((B, n))
+    values[:, 0] = P[:, 0]
+    sv = P[:, 0].copy()
+    si = np.zeros(B, dtype=np.int64)
+    lo, hi = np.full(B, -math.inf), np.full(B, math.inf)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite arithmetic fails the bound check below
+        for j in range(1, n):
+            lo_j, hi_j, empty = _narrow(P[:, j], bound, sv, j - si, lo, hi)
+            r = np.flatnonzero(empty)
+            if r.size:
+                # corridor emptied at j: put a knot at j-1 and restart there; a restarted
+                # corridor never empties at its first step, as x - bound <= x + bound
+                sv[r] = sv[r] + 0.5 * (lo[r] + hi[r]) * (j - 1 - si[r])
+                si[r] = j - 1
+                knots[r, j - 1] = True
+                values[r, j - 1] = sv[r]
+                lo_j[r], hi_j[r], _ = _narrow(P[r, j], bound, sv[r], 1, -math.inf, math.inf)
+            lo, hi = lo_j, hi_j
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        slope = np.zeros(B)
+        slope[finite] = 0.5 * (lo[finite] + hi[finite])
+        values[:, -1] = sv + slope * (n - 1 - si)
+        # the corridor arithmetic loses the bound when readings dwarf it (1e17 +- 0.1
+        # rounds to 1e17), so the bound is checked on what the decoder will produce
+        decoded = ltc_decompress_batch(knots, values)
+        if not np.all(np.abs(decoded - P) <= bound):
+            raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
+                             "for its float64 arithmetic")
+    return knots, values, decoded
+
+
+def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One series' `ltc_compress_batch`, as its knots: int64 sample indices and float64 values.
+
+    The indices run from 0 to n-1, strictly increasing. The decode made for
+    the bound check is written to `out` when one is given.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
         raise ValueError("series must be 1-D with at least 2 samples")
-    if not bound > 0:  # also rejects NaN
-        raise ValueError(f"bound must be positive, got {bound}")
-
-    si, sv = 0, float(series[0])
-    indices, values = [si], [sv]
-    lo, hi = -math.inf, math.inf
-    j = 1
-    while j < series.shape[0]:
-        dt = j - si
-        nlo = (series[j] - bound - sv) / dt
-        nhi = (series[j] + bound - sv) / dt
-        tlo, thi = max(lo, nlo), min(hi, nhi)
-        if tlo <= thi:
-            lo, hi = tlo, thi
-            j += 1
-            continue
-        # corridor emptied at j: put a knot at j-1 and restart there
-        slope = 0.5 * (lo + hi)
-        si, sv = j - 1, float(sv + slope * (j - 1 - si))
-        indices.append(si)
-        values.append(sv)
-        lo, hi = -math.inf, math.inf
-    slope = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
-    last = series.shape[0] - 1
-    knots = np.array([*indices, last], dtype=np.int64), np.array([*values, sv + slope * (last - si)])
-    # the corridor arithmetic loses the bound when readings dwarf it (1e17 +- 0.1
-    # rounds to 1e17), so the bound is checked on what the decoder will produce
-    decoded = ltc_decompress(knots)
-    if not np.all(np.abs(decoded - series) <= bound):
-        raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
-                         "for its float64 arithmetic")
+    knots, values, decoded = ltc_compress_batch(series[None], bound)
     if out is not None:
-        out[...] = decoded
-    return knots
+        out[...] = decoded[0]
+    idx = np.flatnonzero(knots[0])
+    return idx, values[0, idx]
+
+
+def ltc_decompress_batch(knots, values) -> np.ndarray:
+    """Linear interpolation between each row's knots: a (B, n) knot mask and the values at it -> (B, n).
+
+    Every row's first and last samples must be knots; values off the knots are
+    not read. A shared knot takes the later segment's value.
+    """
+    knots, values = np.asarray(knots), np.asarray(values, dtype=np.float64)
+    if knots.dtype != bool or knots.ndim != 2 or knots.shape != values.shape or knots.shape[1] < 2:
+        raise FormatError(f"expected a boolean (B, n) knot mask with n >= 2 and values of its shape, "
+                          f"got {knots.dtype} {knots.shape} and {values.shape}")
+    if not (np.all(knots[:, 0]) and np.all(knots[:, -1])):
+        raise FormatError("every row's first and last samples must be knots")
+    n = knots.shape[1]
+    pos = np.arange(n)
+    # a sample's segment starts at the last knot at or before it, the last sample's
+    # at the knot before it, and ends at the next knot after its start
+    start = np.maximum.accumulate(np.where(knots[:, :-1], pos[:-1], 0), axis=1)
+    start = np.concatenate([start, start[:, -1:]], axis=1)
+    following = np.minimum.accumulate(np.where(knots, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    end = np.concatenate([following[:, 1:], following[:, -1:]], axis=1)
+    v0, v1 = np.take_along_axis(values, start, axis=1), np.take_along_axis(values, end, axis=1)
+    return v0 + (v1 - v0) * (pos - start) / (end - start)
 
 
 def ltc_decompress(knots) -> np.ndarray:
-    """Linear interpolation between consecutive knots `(indices, values)`, from the first index to the last."""
+    """One series' `ltc_decompress_batch`, from knots `(indices, values)`, over the first index to the last."""
     if len(knots) != 2:
         raise FormatError(f"knots must be an (indices, values) pair, got {len(knots)} arrays")
     idx, values = np.asarray(knots[0]), np.asarray(knots[1], dtype=np.float64)
@@ -81,15 +131,22 @@ def ltc_decompress(knots) -> np.ndarray:
         raise FormatError(f"knots must be two 1-D arrays of one length >= 2, got shapes {idx.shape} and {values.shape}")
     if idx.dtype.kind not in "iu" or not np.all(idx[1:] > idx[:-1]):
         raise FormatError("knot indices must be integers in strictly increasing order")
-    start, end, v0, v1 = idx[:-1], idx[1:], values[:-1], values[1:]
-    pos = np.arange(start[0], end[-1] + 1)
-    which = np.searchsorted(start, pos, side="right") - 1  # a shared knot takes the later segment's value
-    return v0[which] + (v1 - v0)[which] * (pos - start[which]) / (end - start)[which]
+    at = idx - idx[0]
+    mask = np.zeros((1, int(at[-1]) + 1), dtype=bool)
+    mask[0, at] = True
+    row = np.zeros(mask.shape)
+    row[0, at] = values
+    return ltc_decompress_batch(mask, row)[0]
 
 
 def ltc_bits(knots) -> int:
     """Wire cost: one 32-bit start value, then 32-bit index + value per further knot."""
     return 32 + 64 * (len(knots[0]) - 1)
+
+
+def ltc_bits_batch(knots) -> np.ndarray:
+    """`ltc_bits` of each row of a (B, n) knot mask."""
+    return 32 + 64 * (np.count_nonzero(knots, axis=1) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +223,37 @@ def _from_bits(bits: np.ndarray, width: int) -> np.ndarray:
     return np.bitwise_or.reduce(bits.reshape(-1, width).astype(np.uint64) << shifts, axis=1)
 
 
+def _pack_code_rows(rows: list[list[int]]) -> list[bytes]:
+    """Each row of 12-bit codes, MSB first, zero-padded to a whole byte; all rows packed in one pass."""
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    # a row of an odd count takes one zero code more, so that every row starts on a byte
+    padded = counts + (counts & 1)
+    flat = np.zeros(int(padded.sum()), dtype=np.int64)
+    total = int(counts.sum())
+    shift = np.repeat(np.cumsum(padded) - padded - (np.cumsum(counts) - counts), counts)
+    flat[np.arange(total) + shift] = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=total)
+    data = np.packbits(_to_bits(flat, 12)).tobytes()
+    starts = (3 * (np.cumsum(padded) - padded) // 2).tolist()
+    return [data[s : s + size] for s, size in zip(starts, ((3 * counts + 1) // 2).tolist())]
+
+
+def _unpack_code_rows(data: bytes, starts, stops) -> list[list[int]]:
+    """The whole 12-bit codes, MSB first, of each byte span `data[start:stop]`; all spans unpacked in one pass."""
+    starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+    counts = 8 * (stops - starts) // 12
+    ends = np.cumsum(counts)
+    first_bit = np.repeat(8 * starts - 12 * (ends - counts), counts) + 12 * np.arange(int(counts.sum()))
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    codes = _from_bits(bits[first_bit[:, None] + np.arange(12)], 12).tolist()
+    return [codes[e - c : e] for e, c in zip(ends.tolist(), counts.tolist())]
+
+
 def _pack_codes(codes: list[int]) -> bytes:
-    return np.packbits(_to_bits(np.asarray(codes, dtype=np.int64), 12)).tobytes()
+    return _pack_code_rows([codes])[0]
 
 
 def _unpack_codes(data: bytes) -> list[int]:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    return _from_bits(bits[: 12 * (bits.shape[0] // 12)], 12).tolist()
+    return _unpack_code_rows(data, [0], [len(data)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +269,31 @@ _MAX_WIDTH = 63  # sign + integer + fraction bits of one reading, so a reading f
 def _fraction_bits(bound: float) -> int:
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    if bound == 0.0:
-        return _MAX_FRACTION_BITS  # lossless intent; quantization still limits precision to 2^-24
+    if bound <= 2.0 ** -(_MAX_FRACTION_BITS + 1):
+        # bound 0 is lossless intent, and quantization still limits precision to 2^-24;
+        # at a subnormal bound 1 / (2 * bound) would overflow
+        return _MAX_FRACTION_BITS
     if bound >= 0.5:
         return 0  # rounding to integers already errs by at most 0.5; log2 of 1/inf fails
     return min(_MAX_FRACTION_BITS, max(0, math.ceil(math.log2(1.0 / (2.0 * bound)))))
 
 
-def lzw_truncated_compress(p, bound: float) -> bytes:
-    """Quantize readings to sign + 16 integer + fraction bits, then LZW the stream.
+def lzw_truncated_compress_batch(P, bound: float) -> list[bytes]:
+    """Quantize each row of a (B, n) batch to sign + 16 integer + fraction bits, then LZW each row's stream.
 
     The fraction width is the smallest making the round-to-nearest error at
-    most `bound`. Output: 2 header bytes (fraction bits, integer bits) + the
-    packed 12-bit LZW codes.
+    most `bound`. Each row's blob: 2 header bytes (fraction bits, integer
+    bits) + the packed 12-bit LZW codes.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2:
+        raise ValueError(f"expected a (B, n) batch, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
         raise ValueError("input contains non-finite entries")
     f = _fraction_bits(bound)
     width = 1 + _INTEGER_BITS + f
     scale = 1 << f
-    rounded = np.rint(p * scale)
+    rounded = np.rint(P * scale)
     # |q| <= 2^(16 + f) - 1, checked on the floats: casting one beyond int64 would wrap
     if np.any(np.abs(rounded) >= 2.0 ** (_INTEGER_BITS + f)):
         limit = (1 << (_INTEGER_BITS + f)) - 1
@@ -218,31 +303,54 @@ def lzw_truncated_compress(p, bound: float) -> bytes:
         )
     q = rounded.astype(np.int64)
     words = (q < 0).astype(np.int64) << (width - 1) | np.abs(q)
-    codes = _lzw_encode(np.packbits(_to_bits(words, width)).tobytes())
-    return bytes([f, _INTEGER_BITS]) + _pack_codes(codes)
+    streams = np.packbits(_to_bits(words, width).reshape(P.shape[0], P.shape[1] * width), axis=1)
+    header = bytes([f, _INTEGER_BITS])
+    return [header + codes for codes in _pack_code_rows([_lzw_encode(row.tobytes()) for row in streams])]
 
 
-def lzw_truncated_decompress(data: bytes, count: int) -> np.ndarray:
-    """Inverse of lzw_truncated_compress for `count` readings."""
-    if count == 0:
-        return np.zeros(0)
-    if len(data) < 2:
+def lzw_truncated_compress(p, bound: float) -> bytes:
+    """One vector's `lzw_truncated_compress_batch`."""
+    return lzw_truncated_compress_batch(np.asarray(p, dtype=np.float64).reshape(1, -1), bound)[0]
+
+
+def lzw_truncated_decompress_batch(blobs, count: int) -> np.ndarray:
+    """Inverse of lzw_truncated_compress_batch: blobs of `count` readings each, under one header -> (B, count)."""
+    if count == 0 or not blobs:
+        return np.zeros((len(blobs), count))
+    if len(blobs[0]) < 2:
         raise FormatError("missing truncated-LZW header")
-    f, integer_bits = data[0], data[1]
+    header = blobs[0][:2]
+    f, integer_bits = header
     width = 1 + integer_bits + f
     if f > _MAX_FRACTION_BITS or width > _MAX_WIDTH:
         raise FormatError(
             f"header fraction_bits={f}, integer_bits={integer_bits}: need at most "
             f"{_MAX_FRACTION_BITS} fraction bits and a {_MAX_WIDTH}-bit width"
         )
-    payload = _lzw_decode(_unpack_codes(data[2:]))
     need_bytes = (width * count + 7) // 8
-    if len(payload) < need_bytes:
-        raise FormatError(f"LZW payload too short: {len(payload)} bytes, need {need_bytes}")
-    words = _from_bits(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=width * count), width)
+    sizes = np.array([len(blob) for blob in blobs], dtype=np.int64)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    payloads = []
+    for blob, codes in zip(blobs, _unpack_code_rows(b"".join(blobs), np.minimum(starts + 2, stops), stops)):
+        if len(blob) < 2:
+            raise FormatError("missing truncated-LZW header")
+        if blob[:2] != header:
+            raise FormatError(f"a batch's blobs must share one header, got {blob[:2].hex()} after {header.hex()}")
+        payload = _lzw_decode(codes)
+        if len(payload) < need_bytes:
+            raise FormatError(f"LZW payload too short: {len(payload)} bytes, need {need_bytes}")
+        payloads.append(payload[:need_bytes])
+    streams = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(blobs), need_bytes)
+    words = _from_bits(np.unpackbits(streams, axis=1, count=width * count), width).reshape(len(blobs), count)
     sign = np.where(words >> np.uint64(width - 1) != 0, -1.0, 1.0)
     mag = words & np.uint64((1 << (width - 1)) - 1)
     return sign * mag.astype(np.float64) / float(1 << f)
+
+
+def lzw_truncated_decompress(data: bytes, count: int) -> np.ndarray:
+    """One blob's `lzw_truncated_decompress_batch`: its `count` readings."""
+    return lzw_truncated_decompress_batch([data], count)[0]
 
 
 def lzw_code_bits(data: bytes) -> int:

@@ -3,9 +3,14 @@
 Every method runs through one cell loop. A cell (method, k, fold rotation,
 repetition) builds the method's round trip once, training an autoencoder or
 fitting PCA on the training rows, and evaluates it at every error bound, so
-compression-ratio curves over bounds share the same weights. Only autoencoder
+compression-ratio curves over bounds share the same weights. Each evaluation
+is one call over the cell's whole (B, n) test matrix, baselines included;
+LTC and truncated LZW still write one bitstream per window. Only autoencoder
 cells repeat: baselines have no init randomness. Rows aggregate bits across
 all cells, so the reported CR is recomputable from the bit columns exactly.
+A failure is kept per (method label, bound): a bound whose evaluation raises
+fails only its own row, while a round trip that cannot be built fails every
+bound of its label.
 """
 
 from __future__ import annotations
@@ -171,30 +176,15 @@ def _patched(P, recon, bound, bits_code):
     return Q, np.full(P.shape[0], bits_code), P.shape[1] + 32 * patched
 
 
-def _row_by_row(one):
-    """Lift a one-window round trip `(p, bound) -> (q, bits_code, bits_residual)` to a batch."""
-
-    def round_trip(P, bound):
-        Q = np.empty_like(P)
-        bits = np.zeros((2, P.shape[0]), dtype=np.int64)
-        for i, p in enumerate(P):
-            Q[i], bits[0, i], bits[1, i] = one(p, bound)
-        return Q, bits[0], bits[1]
-
-    return round_trip
+def _ltc(P, bound):
+    knots, _, Q = baselines.ltc_compress_batch(P, bound)  # Q is the decode it checked
+    return Q, baselines.ltc_bits_batch(knots), np.zeros(len(P), dtype=np.int64)
 
 
-@_row_by_row
-def _ltc(p, bound):
-    q = np.empty_like(p)
-    knots = baselines.ltc_compress(p, bound, out=q)  # q is the decode it checked
-    return q, baselines.ltc_bits(knots), 0
-
-
-@_row_by_row
-def _lzw(p, bound):
-    blob = baselines.lzw_truncated_compress(p, bound)
-    return baselines.lzw_truncated_decompress(blob, len(p)), baselines.lzw_code_bits(blob), 0
+def _lzw(P, bound):
+    blobs = baselines.lzw_truncated_compress_batch(P, bound)
+    bits_code = np.fromiter(map(baselines.lzw_code_bits, blobs), dtype=np.int64, count=len(blobs))
+    return baselines.lzw_truncated_decompress_batch(blobs, P.shape[1]), bits_code, np.zeros(len(P), dtype=np.int64)
 
 
 def _pca(train_X, k):
@@ -218,8 +208,8 @@ def _dct(train_X, k):
     return round_trip
 
 
-# baseline -> (training rows, k) -> batch round trip; LTC and truncated LZW code
-# each window as its own bitstream, PCA and DCT transform the whole batch at once
+# baseline -> (training rows, k) -> batch round trip over the whole test matrix;
+# LTC and truncated LZW still write one bitstream per window
 _BASELINES = {"ltc": lambda train_X, k: _ltc, "lzw": lambda train_X, k: _lzw, "pca": _pca, "dct": _dct}
 
 
@@ -241,13 +231,19 @@ def _round_trip(method, train_X, k, cfg: BenchmarkConfig, seed):
 
 
 def _eval_cell(round_trip, test_X, bounds):
-    """Tally `round_trip(P, bound) -> (Q, bits_code[B], bits_residual[B])` over the test rows, per bound."""
+    """Tally `round_trip(P, bound) -> (Q, bits_code[B], bits_residual[B])` over the test rows, per bound.
+
+    A bound whose round trip raises maps to its exception, and the other bounds still run.
+    """
     out = {}
     for bound in bounds:
         t0 = time.perf_counter()
-        cell = _CellResult.of_batch(test_X, *round_trip(test_X, bound))
-        cell.wall_time = time.perf_counter() - t0
-        out[bound] = cell
+        try:
+            out[bound] = _CellResult.of_batch(test_X, *round_trip(test_X, bound))
+        except Exception as exc:  # recorded on this bound's row; the harness keeps going
+            out[bound] = exc
+            continue
+        out[bound].wall_time = time.perf_counter() - t0
     return out
 
 
@@ -283,14 +279,16 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
         outcomes = list(pool.map(_run_cell, [fn for _, fn in tasks]))
 
     agg = {(label, bound): _CellResult() for label, _ in tasks for bound in cfg.bounds}
-    failures: dict[str, str] = {}  # label -> its first failed cell's error
+    failures: dict[tuple[str, float], str] = {}  # (label, bound) -> its first failed cell's error
     for (label, _), outcome in zip(tasks, outcomes):
-        if isinstance(outcome, Exception):
-            failures.setdefault(label, f"{type(outcome).__name__}: {outcome}")
-            continue
-        for bound, cell in outcome.items():
-            agg[label, bound].merge(cell)
-    return [cell.row(label, bound, failures.get(label)) for (label, bound), cell in sorted(agg.items())]
+        # a cell whose round trip could not be built (training, PCA fit) fails every bound
+        cells = dict.fromkeys(cfg.bounds, outcome) if isinstance(outcome, Exception) else outcome
+        for bound, cell in cells.items():
+            if isinstance(cell, Exception):
+                failures.setdefault((label, bound), f"{type(cell).__name__}: {cell}")
+            else:
+                agg[label, bound].merge(cell)
+    return [cell.row(label, bound, failures.get((label, bound))) for (label, bound), cell in sorted(agg.items())]
 
 
 def _run_cell(fn):

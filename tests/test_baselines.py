@@ -15,6 +15,52 @@ def _segments(knots) -> int:
     return len(knots[0]) - 1
 
 
+def _ref_ltc_compress(series, bound):
+    """The corridor loop over one series: its knots and their decode, checked against the bound."""
+    series = np.asarray(series, dtype=np.float64)
+    si, sv = 0, float(series[0])
+    indices, values = [si], [sv]
+    lo, hi = -math.inf, math.inf
+    j = 1
+    while j < series.shape[0]:
+        dt = j - si
+        nlo = (series[j] - bound - sv) / dt
+        nhi = (series[j] + bound - sv) / dt
+        tlo, thi = max(lo, nlo), min(hi, nhi)
+        if tlo <= thi:
+            lo, hi = tlo, thi
+            j += 1
+            continue
+        # corridor emptied at j: put a knot at j-1 and restart there
+        slope = 0.5 * (lo + hi)
+        si, sv = j - 1, float(sv + slope * (j - 1 - si))
+        indices.append(si)
+        values.append(sv)
+        lo, hi = -math.inf, math.inf
+    slope = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else 0.0
+    last = series.shape[0] - 1
+    knots = np.array([*indices, last], dtype=np.int64), np.array([*values, sv + slope * (last - si)])
+    decoded = baselines.ltc_decompress(knots)
+    if not np.all(np.abs(decoded - series) <= bound):
+        raise RangeError(f"LTC decode misses the bound {bound}: readings non-finite or too large "
+                         "for its float64 arithmetic")
+    return knots, decoded
+
+
+@st.composite
+def _batches(draw):
+    """(B, n) random walks with constant rows, alternating rows and signed zeros mixed in."""
+    rows, n = draw(st.integers(1, 50)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.cumsum(rng.normal(0.0, draw(st.sampled_from([1e-6, 1.0, 1e3])), (rows, n)), axis=1)
+    kind = rng.integers(0, 4, rows)
+    P[kind == 1] = P[kind == 1, :1]
+    P[kind == 2] = np.where(np.arange(n) % 2, 1.0, -1.0) * P[kind == 2, :1]
+    P[rng.random(P.shape) < 0.1] = -0.0
+    P[rng.random(P.shape) < 0.05] = 0.0
+    return P
+
+
 class TestLtc:
     def test_perfectly_linear_single_segment(self):
         series = np.linspace(0.0, 10.0, 50)
@@ -107,13 +153,13 @@ class TestLtc:
             knots = baselines.ltc_compress(series, 0.3, out=out)
             assert out.tobytes() == baselines.ltc_decompress(knots).tobytes()
 
-    def test_harness_decodes_each_window_once(self, monkeypatch):
+    def test_harness_decodes_each_batch_once(self, monkeypatch):
         decodes = []
-        decode = baselines.ltc_decompress
-        monkeypatch.setattr(baselines, "ltc_decompress", lambda knots: decodes.append(1) or decode(knots))
+        decode = baselines.ltc_decompress_batch
+        monkeypatch.setattr(baselines, "ltc_decompress_batch", lambda *knots: decodes.append(1) or decode(*knots))
         P = np.cumsum(np.random.default_rng(4).normal(0, 1, (9, 16)), axis=1)
         harness._round_trip("ltc", P, 0, harness.BenchmarkConfig(), 0)(P, 0.2)
-        assert len(decodes) == len(P)
+        assert len(decodes) == 1
 
     def test_fewer_segments_at_larger_bound(self):
         rng = np.random.default_rng(1)
@@ -121,6 +167,63 @@ class TestLtc:
             series = np.cumsum(rng.normal(0, 1, 100))
             b1, b2 = sorted(rng.uniform(0.05, 2.0, 2))
             assert _segments(baselines.ltc_compress(series, b1)) >= _segments(baselines.ltc_compress(series, b2))
+
+
+class TestLtcBatch:
+    """`ltc_compress_batch` against the corridor loop run on each row."""
+
+    @given(P=_batches(), bound=st.floats(min_value=1e-9, allow_nan=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_corridor_loop_per_row(self, P, bound):
+        try:
+            rows = [_ref_ltc_compress(p, bound) for p in P]
+        except RangeError as exc:
+            with pytest.raises(RangeError) as got:
+                baselines.ltc_compress_batch(P, bound)
+            assert str(got.value) == str(exc)
+            return
+        knots, values, decoded = baselines.ltc_compress_batch(P, bound)
+        for i, ((idx, vals), q) in enumerate(rows):
+            assert np.flatnonzero(knots[i]).tolist() == idx.tolist()
+            assert values[i, idx].tobytes() == vals.tobytes()
+            assert decoded[i].tobytes() == q.tobytes()
+        assert baselines.ltc_bits_batch(knots).tolist() == [baselines.ltc_bits(k) for k, _ in rows]
+        assert baselines.ltc_decompress_batch(knots, values).tobytes() == decoded.tobytes()
+
+    @given(P=_batches(), bound=st.floats(1e-9, 0.1), huge=st.sampled_from([1e17, -1e17, 1e30]), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_readings_that_dwarf_the_bound_raise_like_the_loop(self, P, bound, huge, data):
+        P[data.draw(st.integers(0, len(P) - 1)), :2] = huge, 2.0  # the decode puts the 2.0 at 0.0
+        with pytest.raises(RangeError) as expected:
+            [_ref_ltc_compress(p, bound) for p in P]
+        with pytest.raises(RangeError) as got:
+            baselines.ltc_compress_batch(P, bound)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (2, 3, 4)])
+    def test_batch_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(B, n\) batch"):
+            baselines.ltc_compress_batch(np.zeros(shape), 0.1)
+
+    def test_empty_batch(self):
+        knots, values, decoded = baselines.ltc_compress_batch(np.zeros((0, 5)), 0.1)
+        assert knots.shape == values.shape == decoded.shape == (0, 5)
+
+    @pytest.mark.parametrize(
+        "knots, values",
+        [
+            (np.array([[True, False, True]]), np.zeros((1, 2))),
+            (np.array([[True, False, False]]), np.zeros((1, 3))),
+            (np.array([[False, False, True]]), np.zeros((1, 3))),
+            (np.array([[1, 0, 1]]), np.zeros((1, 3))),
+            (np.array([True, True]), np.zeros(2)),
+            (np.array([[True]]), np.zeros((1, 1))),
+        ],
+        ids=["shape-mismatch", "no-last-knot", "no-first-knot", "integer-mask", "1-D", "one-sample"],
+    )
+    def test_malformed_batch_knots_rejected(self, knots, values):
+        with pytest.raises(FormatError):
+            baselines.ltc_decompress_batch(knots, values)
 
 
 class TestLzwCore:
@@ -196,6 +299,19 @@ class TestTruncatedLzw:
         p = np.array([1.2, -3.7, 0.49, 100.5])
         back = baselines.lzw_truncated_decompress(baselines.lzw_truncated_compress(p, bound), 4)
         assert np.array_equal(back, np.rint(p))
+
+    @pytest.mark.parametrize("bound", [1e-310, 5e-324])
+    def test_subnormal_bound_takes_the_widest_fraction(self, bound):
+        # 1 / (2 * bound) overflows to inf there
+        assert baselines._fraction_bits(bound) == baselines._MAX_FRACTION_BITS
+        p = np.array([1.5, -2.25, 1e-9, -0.0, 100.0])
+        blob = baselines.lzw_truncated_compress(p, bound)
+        assert blob == _ref_truncated_compress(p, bound)
+        assert np.max(np.abs(baselines.lzw_truncated_decompress(blob, len(p)) - p)) <= 2.0**-25
+
+    @pytest.mark.parametrize("bound", [2.0**-25, 2.0**-25 * 1.5, 2.0**-24, 2.0**-24 * 1.01, 1e-6, 0.3])
+    def test_fraction_bits_formula_above_the_subnormal_case(self, bound):
+        assert baselines._fraction_bits(bound) == min(24, max(0, math.ceil(math.log2(1.0 / (2.0 * bound)))))
 
     @pytest.mark.parametrize("header", [[24, 60], [25, 0], [255, 255], [24, 39]])
     def test_header_beyond_writer_rejected(self, header):
@@ -304,6 +420,59 @@ class TestLzwBitParity:
         blob = baselines.lzw_truncated_compress(np.array([-0.0, -1e-9]), 0.1)
         assert blob == _ref_truncated_compress([-0.0, -1e-9], 0.1)
         assert np.signbit(baselines.lzw_truncated_decompress(blob, 2)).tolist() == [False, False]
+
+
+class TestTruncatedLzwBatch:
+    """The batch truncated-LZW codec against the per-reading references, one row at a time."""
+
+    @given(P=_batches(), bound=st.floats(min_value=1e-9, allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_blobs_and_decodes_match_reference_rows(self, P, bound):
+        f = baselines._fraction_bits(bound)
+        top = (2.0 ** (16 + f) - 1) / 2.0**f  # largest magnitude in fixed-point range
+        P = np.clip(P, -top, top)
+        blobs = baselines.lzw_truncated_compress_batch(P, bound)
+        assert blobs == [_ref_truncated_compress(p, bound) for p in P]
+        back = baselines.lzw_truncated_decompress_batch(blobs, P.shape[1])
+        expected = np.stack([_ref_truncated_decompress(blob, P.shape[1]) for blob in blobs])
+        assert back.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    @given(P=_batches(), bound=st.floats(min_value=1e-9, allow_nan=False), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_reading_out_of_range_raises_like_one_row(self, P, bound, data):
+        f = baselines._fraction_bits(bound)
+        i = data.draw(st.integers(0, len(P) - 1))
+        P[i, data.draw(st.integers(0, P.shape[1] - 1))] = data.draw(st.sampled_from([1e30, -1e19, 2.0**16]))
+        limit = (2 ** (16 + f) - 1) / 2.0**f
+        message = f"reading outside fixed-point range +-{limit} (integer_bits=16, fraction_bits={f})"
+        for call in (lambda: baselines.lzw_truncated_compress_batch(P, bound),
+                     lambda: baselines.lzw_truncated_compress(P[i], bound)):
+            with pytest.raises(RangeError) as got:
+                call()
+            assert str(got.value) == message
+
+    def test_empty_batches(self):
+        assert baselines.lzw_truncated_compress_batch(np.zeros((0, 4)), 0.1) == []
+        assert baselines.lzw_truncated_decompress_batch([], 4).shape == (0, 4)
+        blobs = baselines.lzw_truncated_compress_batch(np.zeros((3, 0)), 0.1)
+        assert blobs == [bytes([3, 16])] * 3
+        assert baselines.lzw_truncated_decompress_batch(blobs, 0).shape == (3, 0)
+
+    def test_blobs_under_different_headers_rejected(self):
+        p = np.arange(8.0)
+        blobs = [baselines.lzw_truncated_compress(p, 0.1), baselines.lzw_truncated_compress(p, 0.01)]
+        with pytest.raises(FormatError, match="share one header"):
+            baselines.lzw_truncated_decompress_batch(blobs, 8)
+
+    def test_first_failing_blob_names_the_error(self):
+        good = baselines.lzw_truncated_compress(np.arange(50.0), 0.1)
+        corrupt = good[:2] + bytes([0xFA, 0x0F]) * 40
+        with pytest.raises(FormatError, match="invalid initial LZW code"):
+            baselines.lzw_truncated_decompress_batch([good, corrupt, good[:1]], 50)
+        with pytest.raises(FormatError, match="missing truncated-LZW header"):
+            baselines.lzw_truncated_decompress_batch([good, good[:1], corrupt], 50)
+        with pytest.raises(FormatError, match="payload too short"):
+            baselines.lzw_truncated_decompress_batch([good, good[:6], corrupt], 50)
 
 
 class TestHarnessBatchParity:

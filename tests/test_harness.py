@@ -109,6 +109,21 @@ class TestPartialRows:
             assert dataclasses.replace(row, wall_time=0.0, status="ok") == dataclasses.replace(expected, wall_time=0.0)
 
 
+class TestPerBoundFailures:
+    def test_bound_that_raises_fails_only_its_rows(self):
+        cfg = dataclasses.replace(GOLDEN_CONFIG, bounds=(0.0, 0.1), variants=(), baseline_methods=("ltc",))
+        zero, tenth = harness.run_benchmark(cfg)
+        assert zero.status == "failed:ValueError: bound must be positive, got 0.0"
+        (expected,) = harness.run_benchmark(dataclasses.replace(cfg, bounds=(0.1,)))
+        assert tenth.status == expected.status == "ok"
+        assert dataclasses.replace(tenth, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
+
+    def test_round_trip_that_cannot_be_built_fails_every_bound(self):
+        cfg = dataclasses.replace(GOLDEN_CONFIG, k_list=(13,), variants=(), baseline_methods=("pca",))
+        rows = harness.run_benchmark(cfg)
+        assert [r.status for r in rows] == ["failed:ValueError: k=13 exceeds data rank 12"] * len(cfg.bounds)
+
+
 class TestReadReport:
     ROWS = [
         metrics.EvalRow("WAE(k=3)", 0.05, 100 / 3, 0.1 + 0.2, 1e-17, 480, 1234, 3840, 1.23449, "ok"),
