@@ -127,6 +127,21 @@ def _blocks(vec: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np
             vec[k * n + k : 2 * k * n + k].reshape(n, k), vec[2 * k * n + k :])
 
 
+def _sigmoid_inplace(A: np.ndarray) -> np.ndarray:
+    """`1 / (1 + exp(-A))` computed in place with numpy's `exp`; returns A.
+
+    Training only: numpy picks its `exp` kernel by CPU feature set, and its
+    last bits can differ from libm's, which `sigmoid` uses. The codec keeps
+    `sigmoid` so that the wire does not depend on the host. Where `-A`
+    overflows `exp`, the result is exactly 0, as the limit is.
+    """
+    np.negative(A, out=A)
+    with np.errstate(over="ignore"):
+        np.exp(A, out=A)
+    A += 1.0
+    return np.reciprocal(A, out=A)
+
+
 def flat_cost_and_grad(vec: np.ndarray, X: np.ndarray, n: int, k: int, cfg: CostConfig) -> tuple[float, np.ndarray]:
     """Training objective and its analytic gradient at a flat parameter vector.
 
@@ -137,37 +152,41 @@ def flat_cost_and_grad(vec: np.ndarray, X: np.ndarray, n: int, k: int, cfg: Cost
     straight into the returned flat vector, in `vec`'s layout. Each operation
     keeps the order and operands of the plain out-of-place formulas, so fits
     stay bit-identical to them; the tests compare the two bit for bit.
+
+    Every sum over the batch is a product with a ones vector, one BLAS
+    matrix-vector call. A single `ddot` over the flattened batch would be
+    shorter, but OpenBLAS splits a long `ddot` across its threads, and then
+    the fit would depend on the BLAS thread count.
     """
     w_enc, b_enc, w_dec, b_dec = blocks = _blocks(vec, n, k)
     if not np.isfinite(vec).all():
         name = next(name for name, b in zip(_PARAM_NAMES, blocks) if not np.isfinite(b).all())
         raise ValueError(f"{name} contains non-finite entries")
     B = X.shape[0]
+    ones = np.ones(B)
     grad = np.empty_like(vec)
     g_wenc, g_benc, g_wdec, g_bdec = _blocks(grad, n, k)
 
     Y = np.matmul(X, w_enc.T)  # B x k
     Y += b_enc
-    expit(Y, out=Y)
+    _sigmoid_inplace(Y)
     Z = np.matmul(Y, w_dec.T)  # B x n
     Z += b_dec
-    expit(Z, out=Z)
+    _sigmoid_inplace(Z)
 
     D = Z - X  # becomes delta_z = ((Z - X) / B) * Z * (1 - Z)
-    half_sq = np.add.reduce(D * D, axis=1)
-    half_sq *= 0.5  # half the squared error of each vector
-    total = float(np.add.reduce(half_sq) / B)  # their mean, as np.mean computes it
+    total = 0.5 * float(np.sum(ones @ (D * D))) / B  # the mean of each vector's half squared error
     D /= B
     D *= Z
     D *= np.subtract(1.0, Z, out=Z)
     np.matmul(D.T, Y, out=g_wdec)
-    np.add.reduce(D, axis=0, out=g_bdec)
+    np.matmul(ones, D, out=g_bdec)
 
     back = np.matmul(D, w_dec)  # B x k; becomes delta_y = back * Y * (1 - Y)
     if cfg.variant in ("wae", "sae"):
         total += 0.5 * cfg.beta * (float(np.sum(w_enc**2)) + float(np.sum(w_dec**2)))
     if cfg.variant == "sae":
-        rho_hat_raw = Y.mean(axis=0)
+        rho_hat_raw = (ones @ Y) / B
         rho_hat = np.clip(rho_hat_raw, _RHO_HAT_CLIP, 1.0 - _RHO_HAT_CLIP)
         total += cfg.eta * float(np.sum(kl_divergence(cfg.rho, rho_hat)))
         kl_grad = cfg.eta * (-cfg.rho / rho_hat + (1.0 - cfg.rho) / (1.0 - rho_hat))
@@ -176,7 +195,7 @@ def flat_cost_and_grad(vec: np.ndarray, X: np.ndarray, n: int, k: int, cfg: Cost
     back *= Y
     back *= np.subtract(1.0, Y, out=Y)
     np.matmul(back.T, X, out=g_wenc)
-    np.add.reduce(back, axis=0, out=g_benc)
+    np.matmul(ones, back, out=g_benc)
 
     if cfg.variant in ("wae", "sae"):
         g_wenc += cfg.beta * w_enc

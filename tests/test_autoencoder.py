@@ -195,24 +195,25 @@ class TestCostAndGrad:
 def reference_cost_and_grad(theta, X, cfg):
     """The objective as separate out-of-place array expressions: the reference for the fused one."""
     B = X.shape[0]
-    Y = ae.sigmoid(X @ theta.w_enc.T + theta.b_enc)
-    Z = ae.sigmoid(Y @ theta.w_dec.T + theta.b_dec)
-    total = float(np.mean(0.5 * np.sum((X - Z) ** 2, axis=1)))
+    ones = np.ones(B)
+    Y = 1.0 / (1.0 + np.exp(-(X @ theta.w_enc.T + theta.b_enc)))
+    Z = 1.0 / (1.0 + np.exp(-(Y @ theta.w_dec.T + theta.b_dec)))
+    total = 0.5 * float(np.sum(ones @ ((Z - X) * (Z - X)))) / B
     delta_z = ((Z - X) / B) * Z * (1.0 - Z)
     g_wdec = delta_z.T @ Y
-    g_bdec = delta_z.sum(axis=0)
+    g_bdec = ones @ delta_z
     back = delta_z @ theta.w_dec
     if cfg.variant in ("wae", "sae"):
         total += 0.5 * cfg.beta * (float(np.sum(theta.w_enc**2)) + float(np.sum(theta.w_dec**2)))
     if cfg.variant == "sae":
-        rho_hat_raw = Y.mean(axis=0)
+        rho_hat_raw = (ones @ Y) / B
         rho_hat = np.clip(rho_hat_raw, 1e-8, 1.0 - 1e-8)
         total += cfg.eta * float(np.sum(ae.kl_divergence(cfg.rho, rho_hat)))
         kl_grad = cfg.eta * (-cfg.rho / rho_hat + (1.0 - cfg.rho) / (1.0 - rho_hat))
         back = back + np.where(rho_hat_raw == rho_hat, kl_grad, 0.0) / B
     delta_y = back * Y * (1.0 - Y)
     g_wenc = delta_y.T @ X
-    g_benc = delta_y.sum(axis=0)
+    g_benc = ones @ delta_y
     if cfg.variant in ("wae", "sae"):
         g_wenc = g_wenc + cfg.beta * theta.w_enc
         g_wdec = g_wdec + cfg.beta * theta.w_dec
@@ -266,6 +267,19 @@ class TestFlatCostAndGrad:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match=r"parameter vector has length \(20,\), expected \(22,\)"):
             ae.flat_cost_and_grad(np.zeros(20), np.full((3, 4), 0.5), 4, 2, ae.CostConfig("ae"))
+
+    @pytest.mark.parametrize("variant", ["ae", "wae", "sae"])
+    def test_saturated_layers_are_quiet_and_finite(self, variant):
+        # pre-activations beyond +-800: exp overflows for one sign and underflows for the other
+        n, k = 4, 2
+        w_enc = np.array([[300.0] * n, [-300.0] * n])  # with b_enc, pre-activations +-1650
+        w_dec = np.array([[-900.0, 0.0], [900.0, 0.0], [-900.0, 0.0], [900.0, 0.0]])  # +-900
+        vec = np.concatenate([w_enc.ravel(), (900.0, -900.0), w_dec.ravel(), np.zeros(n)])
+        X = np.tile([1.0, -1.0, 0.5, 2.0], (3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, grad = ae.flat_cost_and_grad(vec, X, n, k, ae.CostConfig(variant))
+        assert np.isfinite(total) and np.isfinite(grad).all()
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(4)

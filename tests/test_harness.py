@@ -31,7 +31,7 @@ class TestGoldenReport:
         rows = harness.run_benchmark(GOLDEN_CONFIG)
         assert all(r.status == "ok" for r in rows)
         harness.write_report(rows, GOLDEN_CONFIG, tmp_path)
-        assert _report_digest(tmp_path / "report.csv") == "6096e73a41def6d5798ba82898fdf6acc4e81f78b8485873c951f7f12684fcab"
+        assert _report_digest(tmp_path / "report.csv") == "0d72a5a03a470995f69992570917e15b616f7178daf4ec91b135dac83fff921d"
 
 
 class TestConfigValidation:

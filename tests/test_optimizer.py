@@ -1,6 +1,10 @@
 import gc
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,7 +183,7 @@ class TestTrain:
 
     def test_one_forward_pass_per_evaluation(self, monkeypatch):
         counts = {"evals": 0, "layers": 0}
-        flat_cost_and_grad, expit = ae.flat_cost_and_grad, ae.expit
+        flat_cost_and_grad, sigmoid_inplace = ae.flat_cost_and_grad, ae._sigmoid_inplace
 
         def counted_eval(*args, **kwargs):
             counts["evals"] += 1
@@ -187,10 +191,10 @@ class TestTrain:
 
         def counted_layer(*args, **kwargs):
             counts["layers"] += 1
-            return expit(*args, **kwargs)
+            return sigmoid_inplace(*args, **kwargs)
 
         monkeypatch.setattr(ae, "flat_cost_and_grad", counted_eval)
-        monkeypatch.setattr(ae, "expit", counted_layer)
+        monkeypatch.setattr(ae, "_sigmoid_inplace", counted_layer)
         rng = np.random.default_rng(6)
         data = [rng.normal(0, 1, 6) for _ in range(15)]
         train(data, 6, 2, ae.CostConfig("sae"), LbfgsOptions(max_iters=10), seed=2)
@@ -205,9 +209,9 @@ class TestGoldenFit:
     WINDOWS = dataset.make_windows(dataset.synth_dataset(4, 600, seed=5, noise_sd=0.02), "temporal", 12)
 
     @pytest.mark.parametrize("variant, iterations, stop_reason, digest", [
-        ("ae", 400, "max_iters", "f1e23fa2fae5e7eb5e803bff3c75220d83f1e67c4bedf73078c9274e61aeee78"),
-        ("wae", 286, "converged", "bf6c1fa178fdb0c0c3a492451387ecfdaa58e22c3975416bdab46304e2497cc5"),
-        ("sae", 194, "converged", "7d225a5f1e6d5b48c624ccea61d288ca33e30dbb8f43233bf741463a29959aa1"),
+        ("ae", 400, "max_iters", "8bb8542970d685bda72d884e750c5a70b61f9e22042bbe217ffbc65b84779ede"),
+        ("wae", 278, "converged", "c540e70d1399885f666ccfacbaf94fef9ce49a40ad6a9ee79d4df8915265e405"),
+        ("sae", 201, "converged", "5da9971346fd5f8c156a621ca82478ef3209324d79a85d315dfac03251cf8444"),
     ], ids=["ae", "wae", "sae"])
     def test_weights_and_history(self, variant, iterations, stop_reason, digest):
         model, trace = train(self.WINDOWS, 12, 3, ae.CostConfig(variant), LbfgsOptions(), seed=11)
@@ -215,3 +219,40 @@ class TestGoldenFit:
         for a in (model.w_enc, model.b_enc, model.w_dec, model.b_dec, np.array(trace.cost_history)):
             h.update(a.tobytes())
         assert (trace.iterations, trace.stop_reason, h.hexdigest()) == (iterations, stop_reason, digest)
+
+
+_FIT_DIGESTS = """
+import hashlib
+import numpy as np
+from aebound import autoencoder as ae
+from aebound.optimizer import LbfgsOptions, train
+
+rng = np.random.default_rng(3)
+windows = np.sin(rng.uniform(0, 6, (800, 1)) + np.arange(16) / 3) + rng.normal(0, 0.05, (800, 16))
+for variant in ae.VARIANTS:
+    model, trace = train(windows, 16, 4, ae.CostConfig(variant), LbfgsOptions(max_iters=60), seed=1)
+    h = hashlib.sha256(np.array(trace.cost_history).tobytes())
+    for a in (model.w_enc, model.b_enc, model.w_dec, model.b_dec):
+        h.update(a.tobytes())
+    print(variant, h.hexdigest())
+"""
+
+
+def test_fits_do_not_depend_on_blas_threads():
+    """A fit on 800 x 16 readings gives the same weights with BLAS on one thread and on two.
+
+    OpenBLAS splits a long enough product (a `ddot` over more than 10 000
+    elements, say) across its threads and sums the parts in another order.
+    On a one-CPU machine OpenBLAS may cap its threads at one, and then both
+    runs take the one-thread path and this test cannot fail.
+    """
+    src = str(Path(ae.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _FIT_DIGESTS], env=env, capture_output=True, text=True,
+                             timeout=300, check=True)
+        digests.append(run.stdout)
+    assert digests[0].count("\n") == len(ae.VARIANTS)
+    assert digests[0] == digests[1]
