@@ -46,9 +46,10 @@ class TrainingTrace:
 
 
 class _Point(NamedTuple):
-    """The objective's value and gradient at x + step*d, and its slope along d."""
+    """The point x + step*d with the objective's value and gradient there, and its slope along d."""
 
     step: float
+    x: np.ndarray
     f: float
     slope: float
     grad: np.ndarray
@@ -56,8 +57,9 @@ class _Point(NamedTuple):
 
 def _point(objective, x, d, step):
     """The line-search point at x + step*d, carrying the objective's own value and gradient there."""
-    f, g = objective(x + step * d)
-    return _Point(step, f, float(g @ d), g)
+    x_step = x + step * d
+    f, g = objective(x_step)
+    return _Point(step, x_step, f, float(g @ d), g)
 
 
 def _quadratic_min(a, fa, ga, b, fb):
@@ -111,7 +113,7 @@ def _strong_wolfe(objective, x, d, f, g, alpha0):
     or None.
     """
     phi = partial(_point, objective, x, d)
-    prev = _Point(0.0, f, float(d @ g), g)
+    prev = _Point(0.0, x, f, float(d @ g), g)
     f0, g0 = prev.f, prev.slope
     if g0 >= 0:
         return None
@@ -144,7 +146,7 @@ def minimize(
 
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=opts.history)  # (s, y, 1 / s.y)
     cost_history = [float(f)]
-    best_x, best_f = x.copy(), f
+    best_x, best_f = x, f  # iterates are replaced, never written to
     gnorm = best_gnorm = float(np.abs(g).max())
     stop_reason = "max_iters"
     iterations = 0
@@ -190,19 +192,18 @@ def minimize(
                 stop_reason = "line_search_failure"
                 break
 
-        x_new = x + point.step * d
-        s = x_new - x
+        s = point.x - x
         yv = point.grad - g
         sy = float(s @ yv)
         if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
             hist.append((s, yv, 1.0 / sy))
 
-        x, f, g = x_new, point.f, np.asarray(point.grad, dtype=np.float64)
+        x, f, g = point.x, point.f, point.grad
         cost_history.append(float(f))
         gnorm = float(np.abs(g).max())
         slack = 1e-14 * (1.0 + abs(best_f))  # f ties at roundoff level
         if f < best_f - slack or (f <= best_f + slack and gnorm < best_gnorm):
-            best_f, best_gnorm, best_x = f, gnorm, x.copy()
+            best_f, best_gnorm, best_x = f, gnorm, x
 
     trace = TrainingTrace(iterations=iterations, cost_history=cost_history, final_grad_norm=gnorm,
                           stop_reason=stop_reason)

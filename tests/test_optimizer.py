@@ -114,7 +114,7 @@ def _bytes(f, g):
 
 
 class TestLineSearchContract:
-    """Every point the line search returns carries the objective's own (f, gradient) at x + step*d."""
+    """Every point the line search returns carries x + step*d and the objective's own (f, gradient) there."""
 
     @pytest.mark.parametrize("seed, count, max_dim, skip, opts", [
         (17, 50, 20, 0, LbfgsOptions(max_iters=500, grad_tol=1e-12)),  # acceptance test 5
@@ -137,6 +137,7 @@ class TestLineSearchContract:
             point = search(recorded, x, d, f, g, alpha0)
             if point is not None:
                 at = x + point.step * d
+                assert point.x.tobytes() == at.tobytes()
                 assert _bytes(*objective(at)) == _bytes(point.f, point.grad)
                 earlier.append(not np.array_equal(evaluated[-1], at))
             return point
