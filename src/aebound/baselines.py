@@ -154,47 +154,48 @@ def ltc_bits_batch(knots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _DICT_LIMIT = 4096
-_BYTES = [bytes([i]) for i in range(256)]
-_ENCODE_ROOTS = {b: i for i, b in enumerate(_BYTES)}  # copied per table, not rebuilt
-_DECODE_ROOTS = dict(enumerate(_BYTES))
+_BYTES = [bytes([i]) for i in range(256)]  # the decoder's root entries; code i is byte i
 
 
 def _lzw_encode(data: bytes) -> list[int]:
-    table = _ENCODE_ROOTS.copy()
+    # the table maps (prefix code << 8 | next byte) to the code of the extended
+    # string; single bytes are their own codes and need no entries
+    table: dict[int, int] = {}
     nxt = 256
     codes: list[int] = []
-    w = b""
-    for byte in data:
-        c = _BYTES[byte]
-        wc = w + c
-        if wc in table:
-            w = wc
+    if not data:
+        return codes
+    w = data[0]  # code of the longest prefix matched so far
+    for byte in data[1:]:
+        key = w << 8 | byte
+        code = table.get(key)
+        if code is not None:
+            w = code
             continue
-        codes.append(table[w])
+        codes.append(w)
         if nxt < _DICT_LIMIT:
-            table[wc] = nxt
+            table[key] = nxt
             nxt += 1
         else:
-            table = _ENCODE_ROOTS.copy()
+            table = {}
             nxt = 256
-        w = c
-    if w:
-        codes.append(table[w])
+        w = byte
+    codes.append(w)
     return codes
 
 
 def _lzw_decode(codes: list[int]) -> bytes:
     if not codes:
         return b""
-    table = _DECODE_ROOTS.copy()
-    nxt = 256
+    table = _BYTES.copy()  # entry i is the string of code i
     first = codes[0]
-    if first not in table:
+    if not 0 <= first < 256:
         raise FormatError(f"invalid initial LZW code {first}")
     w = table[first]
     out = [w]
     for code in codes[1:]:
-        if code in table:
+        nxt = len(table)
+        if 0 <= code < nxt:
             entry = table[code]
         elif code == nxt:
             entry = w + w[:1]
@@ -202,11 +203,9 @@ def _lzw_decode(codes: list[int]) -> bytes:
             raise FormatError(f"invalid LZW code {code}")
         out.append(entry)
         if nxt < _DICT_LIMIT:
-            table[nxt] = w + entry[:1]
-            nxt += 1
+            table.append(w + entry[:1])
         else:
-            table = _DECODE_ROOTS.copy()
-            nxt = 256
+            table = _BYTES.copy()
         w = entry
     return b"".join(out)
 
