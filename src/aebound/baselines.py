@@ -82,18 +82,15 @@ def ltc_compress_batch(P, bound: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return knots, values, decoded
 
 
-def ltc_compress(series, bound: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def ltc_compress(series, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """One series' `ltc_compress_batch`, as its knots: int64 sample indices and float64 values.
 
-    The indices run from 0 to n-1, strictly increasing. The decode made for
-    the bound check is written to `out` when one is given.
+    The indices run from 0 to n-1, strictly increasing.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.shape[0] < 2:
         raise ValueError("series must be 1-D with at least 2 samples")
-    knots, values, decoded = ltc_compress_batch(series[None], bound)
-    if out is not None:
-        out[...] = decoded[0]
+    knots, values, _ = ltc_compress_batch(series[None], bound)
     idx = np.flatnonzero(knots[0])
     return idx, values[0, idx]
 

@@ -113,6 +113,7 @@ def cmd_compress(args) -> int:
         raise UsageError(f"--bound 0 needs a lossless model; this model's default bound is {default_bound}")
     matrix = dataset.fill_missing(dataset.load_csv(args.input, args.timestamp_column))
     windows = dataset.make_windows(matrix, args.mode, model.n)
+    left_out = matrix.values.size - windows.size  # each sensor's trailing partial temporal window
     del matrix  # windows holds a copy of every reading used; free the matrix before encoding
     packets = codec.compress_batch(windows, model, bound, wide)
     codec.write_packet_stream(packets, model.n, model.k, args.out)
@@ -128,6 +129,7 @@ def cmd_compress(args) -> int:
         print(f"verify ok: max reconstruction error {worst:.6g} <= bound {bound}")
     print(f"patched {packets.eps.indicator.mean():.2%} of {windows.size} readings, "
           f"{8 * os.path.getsize(args.out) / windows.size:.3f} bits per reading written")
+    print(f"left out {left_out} of {windows.size + left_out} readings: no window of {model.n} holds them")
     print(f"wrote {len(packets)} packets to {args.out}")
     return 0
 

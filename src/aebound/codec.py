@@ -3,10 +3,10 @@
 A packet carries the hidden code y, the per-vector mean m, and the residual
 code. The encoder forms residuals against the reconstruction computed from
 the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
-so float quantization can never break the error bound. A patch is a 32-bit
-residual added to the reconstruction, except in lossless mode (bound = 0,
-agreed at the model level), where it is the 64-bit reading itself, written in
-place of the reconstruction: that round trip is exact by construction.
+so float quantization of the code can never break the error bound. Patches
+follow `residual`'s rule: a 32-bit residual added to the reconstruction,
+except in lossless mode (bound = 0, agreed at the model level), where it is
+the 64-bit reading itself, written in place of the reconstruction.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import ModelParams, matvecs, sigmoid
-from .errors import FormatError, PrecisionError, UnsupportedVersionError
-from .residual import ResidualCode, residual_code, residual_decode
+from . import residual
+from .errors import FormatError, UnsupportedVersionError
+from .residual import ResidualCode, residual_decode  # residual_decode is re-exported as codec's
 from .sphering import SpheringScale, denormalize, normalize
 
 MODEL_MAGIC = b"AEB1"
@@ -99,8 +100,9 @@ def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -
 def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
     """Encode each row of a (B, n) batch into a packet honoring the error bound.
 
-    Row i is bit-identical to `compress(P[i])`. A patch is the float64 reading
-    with `wide_residuals` (the default at bound 0), else its float32 residual.
+    Row i is bit-identical to `compress(P[i])`. The patches are
+    `residual.patches(..., wide_residuals)`: float64 readings when wide (the
+    default at bound 0), else float32 residuals, or PrecisionError.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -109,27 +111,11 @@ def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | N
         raise ValueError("input contains non-finite entries")
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    if wide_residuals is None:
-        wide_residuals = bound == 0.0
 
     m32 = (np.add.reduce(P, axis=1) / model.n).astype(np.float32)  # the bits of `p.mean()`
     y32 = sigmoid(matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
-    p = P.ravel()
-    q = _wire_reconstruction(y32, m32, model).ravel()
-
-    code = residual_code(p - q, bound)
-    patched = code.indicator
-    if wide_residuals:
-        values = p[patched]
-    else:
-        values = code.values.astype(np.float32)
-        err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
-        if not np.all(np.isfinite(values)) or np.any(err > bound):
-            raise PrecisionError(
-                "32-bit residual quantization exceeds the bound; "
-                "use lossless mode (bound=0) or a larger bound"
-            )
-    return Packets(y=y32, m=m32, eps=ResidualCode(indicator=patched, values=values))
+    eps = residual.patches(P, _wire_reconstruction(y32, m32, model), bound, wide_residuals)
+    return Packets(y=y32, m=m32, eps=eps)
 
 
 def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
@@ -152,12 +138,7 @@ def _check_shapes(packets: Packets, n: int, k: int) -> None:
 def decompress_batch(packets: Packets, model: ModelParams) -> np.ndarray:
     """Decode B packets back to a (B, n) array of readings."""
     _check_shapes(packets, model.n, model.k)
-    q = _wire_reconstruction(packets.y, packets.m, model)
-    if packets.eps.values.dtype == np.float64:  # lossless patches are the readings
-        q[packets.eps.indicator.reshape(q.shape)] = packets.eps.values
-    else:
-        q += residual_decode(packets.eps, len(packets) * model.n).reshape(q.shape)
-    return q
+    return residual.apply(packets.eps, _wire_reconstruction(packets.y, packets.m, model))
 
 
 def decompress(packet: Packets, model: ModelParams) -> np.ndarray:
@@ -206,7 +187,7 @@ def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_res
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     base = 4 * k + 4 + (n + 7) // 8
-    value_size = 8 if wide_residuals else 4
+    value_dtype = residual.patch_dtype(wide_residuals).newbyteorder("<")
     short = np.flatnonzero(lengths < base)
     whole = int(short[0]) if short.size else len(lengths)  # packets with a whole head
     # each packet is its prefix, its head (code, mean, indicator), then its values
@@ -217,14 +198,14 @@ def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_res
     data = data[: part.shape[0]]
     heads = data[part == 1].reshape(whole, base)
     indicator = np.unpackbits(heads[:, 4 * k + 4:], axis=1, count=n, bitorder="little").astype(bool)
-    expected = base + value_size * indicator.sum(axis=1)
+    expected = base + value_dtype.itemsize * indicator.sum(axis=1)
     wrong = np.flatnonzero(lengths[:whole] != expected)
     if wrong.size:
         i = int(wrong[0])
         raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
     if whole < len(lengths):
         raise FormatError(f"packet {whole}: truncated: {lengths[whole]} bytes, need at least {base}")
-    values = data[part == 2].view("<f8" if wide_residuals else "<f4")
+    values = data[part == 2].view(value_dtype)
     return Packets(
         y=heads[:, : 4 * k].copy().view("<f4"),
         m=heads[:, 4 * k: 4 * k + 4].copy().view("<f4")[:, 0],
@@ -247,9 +228,7 @@ def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False
 def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-packet (code bits, residual bits) as two (B,) arrays; the mean is charged to the code side."""
     _check_shapes(packets, n, k)
-    value_bits = 64 if packets.eps.values.dtype == np.float64 else 32
-    patched = packets.eps.indicator.reshape(len(packets), n).sum(axis=1)
-    return np.full(len(packets), 32 * k + 32), n + value_bits * patched
+    return np.full(len(packets), 32 * k + 32), residual.row_bits(packets.eps, n)
 
 
 def packet_size_bits(packet: Packets, n: int, k: int) -> tuple[int, int]:

@@ -169,11 +169,9 @@ class _CellResult:
 
 
 def _patched(P, recon, bound, bits_code):
-    """A transform coder's reconstructions plus the residual patches that bound them."""
-    code = residual.residual_code((P - recon).ravel(), bound)
-    patched = code.indicator.reshape(P.shape).sum(axis=1)
-    Q = recon + residual.residual_decode(code, P.size).reshape(P.shape)
-    return Q, np.full(P.shape[0], bits_code), P.shape[1] + 32 * patched
+    """A transform coder's reconstructions, patched and charged by the codec's residual rule."""
+    code = residual.patches(P, recon, bound)
+    return residual.apply(code, recon), np.full(P.shape[0], bits_code), residual.row_bits(code, P.shape[1])
 
 
 def _ltc(P, bound):

@@ -1,8 +1,13 @@
 """Residual coding: the mechanism that turns a lossy codec into a bounded one.
 
 Reconstruction errors whose magnitude exceeds the configured bound are
-transmitted verbatim alongside an indicator bitmap; adding them back on the
-receiver caps the per-index error at the bound.
+transmitted alongside an indicator bitmap; patching them back in on the
+receiver caps the per-index error at the bound. This module holds the one
+patch rule that the AE codec and the PCA and DCT baselines share: `patches`
+encodes, `apply` decodes and `row_bits` charges. A patch is a float32
+residual added to the reconstruction, or in lossless (wide) mode the float64
+reading itself, written in its place: that round trip is exact by
+construction.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, PrecisionError
 
 
 @dataclass(frozen=True)
@@ -56,3 +61,51 @@ def residual_decode(code: ResidualCode, n: int) -> np.ndarray:
     out = np.zeros(n)
     out[code.indicator] = code.values.astype(np.float64)
     return out
+
+
+def patch_dtype(wide: bool) -> np.dtype:
+    """The dtype of a patch: the float64 reading when wide, else the float32 residual."""
+    return np.dtype(np.float64 if wide else np.float32)
+
+
+def patches(p, q, bound: float, wide: bool | None = None) -> ResidualCode:
+    """The patches that bring reconstructions q within `bound` of readings p, both raveled.
+
+    `wide` (the default at bound 0) sends each patched reading whole; otherwise
+    its residual goes as float32, checked against the bound after rounding.
+    Raises PrecisionError when float32 rounding of a residual breaks the bound.
+    """
+    p = np.asarray(p, dtype=np.float64).ravel()
+    q = np.asarray(q, dtype=np.float64).ravel()
+    code = residual_code(p - q, bound)
+    patched = code.indicator
+    if wide is None:
+        wide = bound == 0.0
+    if wide:
+        return ResidualCode(indicator=patched, values=p[patched])
+    values = code.values.astype(patch_dtype(False))
+    err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
+    if not np.all(np.isfinite(values)) or np.any(err > bound):
+        raise PrecisionError(
+            "32-bit residual quantization exceeds the bound; "
+            "use lossless mode (bound=0) or a larger bound"
+        )
+    return ResidualCode(indicator=patched, values=values)
+
+
+def apply(code: ResidualCode, q: np.ndarray) -> np.ndarray:
+    """Patch the float64 reconstructions q in place and return them.
+
+    A float64 patch replaces its reading; a float32 one is added to it.
+    """
+    if code.values.dtype == patch_dtype(True):
+        q[code.indicator.reshape(q.shape)] = code.values
+    else:
+        q += residual_decode(code, q.size).reshape(q.shape)
+    return q
+
+
+def row_bits(code: ResidualCode, n: int) -> np.ndarray:
+    """Residual bits of each n-reading row: an indicator bit per reading, 8 * itemsize per patch."""
+    patched = code.indicator.reshape(-1, n).sum(axis=1)
+    return n + 8 * code.values.itemsize * patched

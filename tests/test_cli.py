@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aebound import cli, codec, dataset, harness, metrics
+from aebound import autoencoder as ae, cli, codec, dataset, harness, metrics
 from aebound.autoencoder import ModelParams
 from aebound.sphering import SpheringScale
 
@@ -180,6 +180,15 @@ class TestCompressDecompress:
         assert readings == indicator.size == 5 * 120
         assert rate == pytest.approx(100 * indicator.mean(), abs=0.005)
         assert bits == pytest.approx(8 * packets.stat().st_size / readings, abs=0.0005)
+
+
+    def test_names_the_readings_no_window_holds(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path, steps=65)  # 5 steps of each of 2 sensors past the last window of 12
+        model_path = tmp_path / "m.aeb"
+        codec.save_model(ae.init_params(12, 3, seed=0, sigma=SpheringScale(1.0)), 0.5, model_path)
+        assert cli.main(["compress", "--model", str(model_path), "--input", csv_path,
+                         "--out", str(tmp_path / "p.bin")]) == 0
+        assert "left out 10 of 130 readings: no window of 12 holds them" in capsys.readouterr().out
 
 
 class TestBench:

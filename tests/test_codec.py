@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aebound import autoencoder as ae, codec, dataset
-from aebound.errors import FormatError, UnsupportedVersionError
+from aebound.errors import FormatError, PrecisionError, UnsupportedVersionError
 from aebound.residual import ResidualCode
 from aebound.sphering import SpheringScale, normalize
 
@@ -104,6 +104,14 @@ class TestCompressDecompress:
         bad = codec.Packets(y=pkt.y[:, :2], m=pkt.m, eps=pkt.eps)
         with pytest.raises(FormatError):
             codec.decompress(bad, model)
+
+    def test_bound_below_float32_resolution_raises(self, model):
+        """Near 15-30, float32 residuals round by ~1e-7: a 1e-9 bound needs lossless patches."""
+        P = np.random.default_rng(13).uniform(15.0, 30.0, (20, 8))
+        with pytest.raises(PrecisionError, match="32-bit residual quantization"):
+            codec.compress_batch(P, model, 1e-9)
+        packets = codec.compress_batch(P, model, 1e-9, wide_residuals=True)
+        assert np.max(np.abs(codec.decompress_batch(packets, model) - P)) <= 1e-9
 
     def test_bits_monotone_in_bound(self, model):
         rng = np.random.default_rng(3)

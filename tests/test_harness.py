@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aebound import dataset, harness, metrics
+from aebound import baselines, dataset, harness, metrics
 from aebound.errors import FormatError
 from aebound.optimizer import LbfgsOptions
 
@@ -31,7 +31,7 @@ class TestGoldenReport:
         rows = harness.run_benchmark(GOLDEN_CONFIG)
         assert all(r.status == "ok" for r in rows)
         harness.write_report(rows, GOLDEN_CONFIG, tmp_path)
-        assert _report_digest(tmp_path / "report.csv") == "0d72a5a03a470995f69992570917e15b616f7178daf4ec91b135dac83fff921d"
+        assert _report_digest(tmp_path / "report.csv") == "b61aaa9ccc86fe03fada9a29f7043848c73233c2b432f6b513adf10b1af168a8"
 
 
 class TestConfigValidation:
@@ -118,10 +118,37 @@ class TestPerBoundFailures:
         assert tenth.status == expected.status == "ok"
         assert dataclasses.replace(tenth, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
 
+    def test_bound_below_float32_resolution_fails_only_its_row(self):
+        cfg = dataclasses.replace(GOLDEN_CONFIG, bounds=(1e-9, 0.1), variants=(), baseline_methods=("pca",))
+        fine, tenth = harness.run_benchmark(cfg)
+        assert fine.status.startswith("failed:PrecisionError: 32-bit residual quantization exceeds the bound")
+        (expected,) = harness.run_benchmark(dataclasses.replace(cfg, bounds=(0.1,)))
+        assert tenth.status == expected.status == "ok"
+        assert dataclasses.replace(tenth, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
+
     def test_round_trip_that_cannot_be_built_fails_every_bound(self):
         cfg = dataclasses.replace(GOLDEN_CONFIG, k_list=(13,), variants=(), baseline_methods=("pca",))
         rows = harness.run_benchmark(cfg)
         assert [r.status for r in rows] == ["failed:ValueError: k=13 exceeds data rank 12"] * len(cfg.bounds)
+
+
+class TestLosslessTransformCells:
+    """At bound 0 a PCA or DCT cell patches with the readings themselves, as the AE codec does."""
+
+    @pytest.mark.parametrize("method", ["pca", "dct"])
+    def test_bound_zero_round_trip_is_exact(self, method):
+        windows = harness.load_windows(GOLDEN_CONFIG)
+        fold_of = dataset.split_folds(len(windows), GOLDEN_CONFIG.folds, GOLDEN_CONFIG.seed)
+        train_X, P = windows[fold_of != 1], windows[fold_of == 1]
+        k, n = GOLDEN_CONFIG.k_list[0], P.shape[1]
+        if method == "pca":
+            basis = baselines.pca_fit(train_X, k)
+            recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
+        else:
+            recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
+        Q, _, bits_residual = harness._round_trip(method, train_X, k, GOLDEN_CONFIG, 0)(P, 0.0)
+        assert Q.tobytes() == P.tobytes()
+        np.testing.assert_array_equal(bits_residual, n + 64 * np.count_nonzero(recon != P, axis=1))
 
 
 class TestReadReport:

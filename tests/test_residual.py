@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aebound import autoencoder as ae, baselines, codec, harness
+from aebound import residual
 from aebound.errors import FormatError
 from aebound.residual import ResidualCode, residual_code, residual_decode
 
@@ -90,3 +91,31 @@ class TestBoundGuaranteeKernel:
             r = rng.normal(0, 2, 30)
             b1, b2 = sorted(rng.uniform(0, 3, 2))
             assert residual_code(r, b1).count >= residual_code(r, b2).count
+
+
+class TestPatchRule:
+    """`patches` encodes, `apply` decodes and `row_bits` charges, for every patched codec."""
+
+    P = np.array([[20.0, 21.5, 19.25], [18.0, 22.0, 20.125]])
+    Q = np.array([[20.5, 21.5, 19.0], [18.0, 21.0, 20.0]])
+
+    def test_narrow_patches_are_float32_residuals_added_back(self):
+        code = residual.patches(self.P, self.Q, 0.2)
+        assert code.values.dtype == np.float32
+        np.testing.assert_array_equal(code.indicator, [True, False, True, False, True, False])
+        np.testing.assert_array_equal(code.values, [-0.5, 0.25, 1.0])
+        np.testing.assert_array_equal(residual.apply(code, self.Q.copy()), [[20.0, 21.5, 19.25], [18.0, 22.0, 20.0]])
+        np.testing.assert_array_equal(residual.row_bits(code, 3), [3 + 2 * 32, 3 + 32])
+
+    def test_wide_patches_are_readings_written_in_place(self):
+        Q = self.Q + 1e-17  # no float64 residual repairs these exactly; the readings do
+        code = residual.patches(self.P, Q, 0.0)
+        assert code.values.dtype == np.float64
+        np.testing.assert_array_equal(code.values, self.P.ravel()[code.indicator])
+        assert residual.apply(code, Q).tobytes() == self.P.tobytes()
+        np.testing.assert_array_equal(residual.row_bits(code, 3), 3 + 64 * code.indicator.reshape(2, 3).sum(axis=1))
+
+    def test_empty_batch(self):
+        code = residual.patches(np.zeros((0, 4)), np.zeros((0, 4)), 0.1)
+        assert residual.row_bits(code, 4).shape == (0,)
+        assert residual.apply(code, np.zeros((0, 4))).shape == (0, 4)
