@@ -94,31 +94,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _wide_residuals(default_bound: float) -> bool:
-    """Patch width on the wire, fixed by the model: 64-bit readings only for a lossless model.
-
-    `decompress` knows only the model, so `compress` must encode with the
-    same width whatever `--bound` says; the writer takes it from the packets.
-    """
-    return default_bound == 0.0
-
-
 def cmd_compress(args) -> int:
     if args.bound is not None and not args.bound >= 0:  # also rejects NaN
         raise UsageError(f"--bound must be nonnegative, got {args.bound}")
     model, default_bound = codec.load_model(args.model)
     bound = default_bound if args.bound is None else args.bound
-    wide = _wide_residuals(default_bound)
-    if bound == 0.0 and not wide:
-        raise UsageError(f"--bound 0 needs a lossless model; this model's default bound is {default_bound}")
     matrix = dataset.fill_missing(dataset.load_csv(args.input, args.timestamp_column))
     windows = dataset.make_windows(matrix, args.mode, model.n)
     left_out = matrix.values.size - windows.size  # each sensor's trailing partial temporal window
     del matrix  # windows holds a copy of every reading used; free the matrix before encoding
-    packets = codec.compress_batch(windows, model, bound, wide)
+    packets = codec.compress_batch(windows, model, bound)
     codec.write_packet_stream(packets, model.n, model.k, args.out)
     if args.verify:
-        decoded = codec.read_packet_stream(args.out, model.n, model.k, wide_residuals=wide)
+        decoded = codec.read_packet_stream(args.out, model.n, model.k)
         worst = 0.0
         if len(decoded) == len(windows):
             worst = float(np.max(np.abs(windows - codec.decompress_batch(decoded, model))))
@@ -138,9 +126,8 @@ _CSV_BLOCK_ROWS = 4096  # rows turned into Python floats at a time
 
 
 def cmd_decompress(args) -> int:
-    model, default_bound = codec.load_model(args.model)
-    wide = _wide_residuals(default_bound)
-    packets = codec.read_packet_stream(args.packets, model.n, model.k, wide_residuals=wide)
+    model, _ = codec.load_model(args.model)
+    packets = codec.read_packet_stream(args.packets, model.n, model.k)
     recon = codec.decompress_batch(packets, model)
     with open(args.out, "w") as fh:
         fh.write("window," + ",".join(f"v{i}" for i in range(model.n)) + "\n")
@@ -191,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamp-column", default="t")
     p.add_argument("--mode", choices=("temporal", "spatial"), default="temporal")
     p.add_argument("--bound", type=float, default=None,
-                   help="override the model's default bound; 0 (lossless) needs a lossless model")
+                   help="override the model's default bound; 0 is lossless")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
                    help="decode the written file and check the bound against the original")

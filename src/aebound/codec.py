@@ -5,8 +5,9 @@ code. The encoder forms residuals against the reconstruction computed from
 the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
 so float quantization of the code can never break the error bound. Patches
 follow `residual`'s rule: a 32-bit residual added to the reconstruction,
-except in lossless mode (bound = 0, agreed at the model level), where it is
-the 64-bit reading itself, written in place of the reconstruction.
+except in lossless mode (bound = 0), where it is the 64-bit reading itself,
+written in place of the reconstruction. A stream says which: the top bit of
+each packet's length prefix is set when its patches are 64-bit.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -33,6 +34,7 @@ from .sphering import SpheringScale, denormalize, normalize
 
 MODEL_MAGIC = b"AEB1"
 MODEL_VERSION = 1
+WIDE_FLAG = 1 << 31  # length-prefix bit: this packet's patches are float64 readings
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,12 @@ def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -
     return denormalize(z, m32.astype(np.float64)[:, None], model.sigma)
 
 
-def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
+def compress_batch(P, model: ModelParams, bound: float) -> Packets:
     """Encode each row of a (B, n) batch into a packet honoring the error bound.
 
     Row i is bit-identical to `compress(P[i])`. The patches are
-    `residual.patches(..., wide_residuals)`: float64 readings when wide (the
-    default at bound 0), else float32 residuals, or PrecisionError.
+    `residual.patches`: float64 readings at bound 0, else float32 residuals,
+    or PrecisionError.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -114,16 +116,16 @@ def compress_batch(P, model: ModelParams, bound: float, wide_residuals: bool | N
 
     m32 = (np.add.reduce(P, axis=1) / model.n).astype(np.float32)  # the bits of `p.mean()`
     y32 = sigmoid(matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
-    eps = residual.patches(P, _wire_reconstruction(y32, m32, model), bound, wide_residuals)
+    eps = residual.patches(P, _wire_reconstruction(y32, m32, model), bound)
     return Packets(y=y32, m=m32, eps=eps)
 
 
-def compress(p, model: ModelParams, bound: float, wide_residuals: bool | None = None) -> Packets:
+def compress(p, model: ModelParams, bound: float) -> Packets:
     """Encode one raw vector into a one-row `Packets` honoring the error bound."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (model.n,):
         raise ValueError(f"input shape {p.shape} != ({model.n},)")
-    return compress_batch(p[None], model, bound, wide_residuals)
+    return compress_batch(p[None], model, bound)
 
 
 def _check_shapes(packets: Packets, n: int, k: int) -> None:
@@ -152,7 +154,8 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
 
     Packet body: k x f32 code, f32 mean, ceil(n/8) indicator bytes
     (LSB-first), then one patch per set bit in ascending index order, as f32
-    or f64 like the values' dtype, all little-endian.
+    or f64 like the values' dtype, all little-endian. The prefix's low 31 bits
+    are the body's byte count; its top bit, `WIDE_FLAG`, is set for f64 patches.
     """
     _check_shapes(packets, n, k)
     values = packets.eps.values
@@ -162,8 +165,12 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     value_size = values.dtype.itemsize
     indicator = packets.eps.indicator.reshape(count, n)
     value_bytes = value_size * indicator.sum(axis=1)
+    lengths = 4 * k + 4 + (n + 7) // 8 + value_bytes
+    if count and lengths.max() >= WIDE_FLAG:
+        raise ValueError(f"packet body of {lengths.max()} bytes does not fit the 31-bit length prefix")
+    prefixes = lengths + (WIDE_FLAG if value_size == 8 else 0)
     heads = np.concatenate([
-        (4 * k + 4 + (n + 7) // 8 + value_bytes).astype("<u4")[:, None].view(np.uint8),
+        prefixes.astype("<u4")[:, None].view(np.uint8),
         packets.y.astype("<f4").view(np.uint8),
         packets.m.astype("<f4")[:, None].view(np.uint8),
         np.packbits(indicator, axis=1, bitorder="little"),
@@ -179,15 +186,17 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_residuals: bool) -> Packets:
-    """Inverse of `_stream_bytes`, given each packet's body length from its prefix.
+def _parse_stream(data: np.ndarray, prefixes: list[int], n: int, k: int) -> Packets:
+    """Inverse of `_stream_bytes`, given each packet's u32 length prefix.
 
-    `data` holds exactly the prefixes and bodies; the first bad body is named
-    by its packet index.
+    `data` holds exactly the prefixes and bodies. Each body's length is
+    checked against its own prefix's patch width, and every width must be
+    packet 0's; the first bad packet is named by its index.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    wide = prefixes >= WIDE_FLAG
+    lengths = prefixes & (WIDE_FLAG - 1)
     base = 4 * k + 4 + (n + 7) // 8
-    value_dtype = residual.patch_dtype(wide_residuals).newbyteorder("<")
     short = np.flatnonzero(lengths < base)
     whole = int(short[0]) if short.size else len(lengths)  # packets with a whole head
     # each packet is its prefix, its head (code, mean, indicator), then its values
@@ -198,13 +207,18 @@ def _parse_stream(data: np.ndarray, lengths: list[int], n: int, k: int, wide_res
     data = data[: part.shape[0]]
     heads = data[part == 1].reshape(whole, base)
     indicator = np.unpackbits(heads[:, 4 * k + 4:], axis=1, count=n, bitorder="little").astype(bool)
-    expected = base + value_dtype.itemsize * indicator.sum(axis=1)
-    wrong = np.flatnonzero(lengths[:whole] != expected)
+    bits = np.where(wide[:whole], 64, 32)
+    expected = base + bits // 8 * indicator.sum(axis=1)
+    mixed = wide[:whole] != wide[:1]
+    wrong = np.flatnonzero((lengths[:whole] != expected) | mixed)
     if wrong.size:
         i = int(wrong[0])
+        if mixed[i]:
+            raise FormatError(f"packet {i}: {bits[i]}-bit patches in a stream of {bits[0]}-bit ones")
         raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
     if whole < len(lengths):
         raise FormatError(f"packet {whole}: truncated: {lengths[whole]} bytes, need at least {base}")
+    value_dtype = residual.patch_dtype(bool(wide[:1].any())).newbyteorder("<")
     values = data[part == 2].view(value_dtype)
     return Packets(
         y=heads[:, : 4 * k].copy().view("<f4"),
@@ -220,9 +234,14 @@ def serialize_packet(packet: Packets, n: int, k: int) -> bytes:
 
 
 def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packets:
-    """Inverse of serialize_packet, as a one-row `Packets`; rejects truncated or oversized buffers."""
-    stream = np.frombuffer(struct.pack("<I", len(data)) + bytes(data), dtype=np.uint8)
-    return _parse_stream(stream, [len(data)], n, k, wide_residuals)
+    """Inverse of serialize_packet, as a one-row `Packets`; rejects truncated or oversized buffers.
+
+    A lone packet has no length prefix to carry its patch width, so the
+    caller names it: float64 patches when `wide_residuals`, else float32.
+    """
+    prefix = len(data) | (WIDE_FLAG if wide_residuals else 0)
+    stream = np.frombuffer(struct.pack("<I", prefix) + bytes(data), dtype=np.uint8)
+    return _parse_stream(stream, [prefix], n, k)
 
 
 def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,30 +258,31 @@ def packet_size_bits(packet: Packets, n: int, k: int) -> tuple[int, int]:
 
 
 def write_packet_stream(packets: Packets, n: int, k: int, path) -> None:
-    """Write packets length-prefixed (u32 LE byte count) to a file."""
+    """Write packets length-prefixed (u32 LE byte count, top bit for f64 patches) to a file."""
     data = _stream_bytes(packets, n, k)
     with open(path, "wb") as fh:
         fh.write(data)
 
 
-def read_packet_stream(path, n: int, k: int, wide_residuals: bool = False) -> Packets:
+def read_packet_stream(path, n: int, k: int) -> Packets:
     """Read a length-prefixed packet stream; names the failing packet index."""
     with open(path, "rb") as fh:
         data = fh.read()
-    unpack_length = struct.Struct("<I").unpack_from
-    lengths = []
+    unpack_prefix = struct.Struct("<I").unpack_from
+    prefixes = []
     offset, size, walk_error = 0, len(data), None
     while offset < size:
         if size - offset < 4:
-            walk_error = f"packet {len(lengths)}: truncated length prefix"
+            walk_error = f"packet {len(prefixes)}: truncated length prefix"
             break
-        (length,) = unpack_length(data, offset)
+        (prefix,) = unpack_prefix(data, offset)
+        length = prefix & (WIDE_FLAG - 1)
         if size - offset - 4 < length:
-            walk_error = f"packet {len(lengths)}: truncated body ({size - offset - 4}/{length} bytes)"
+            walk_error = f"packet {len(prefixes)}: truncated body ({size - offset - 4}/{length} bytes)"
             break
-        lengths.append(length)
+        prefixes.append(prefix)
         offset += 4 + length
-    packets = _parse_stream(np.frombuffer(data, dtype=np.uint8, count=offset), lengths, n, k, wide_residuals)
+    packets = _parse_stream(np.frombuffer(data, dtype=np.uint8, count=offset), prefixes, n, k)
     if walk_error is not None:  # only after every earlier packet parsed
         raise FormatError(walk_error)
     return packets

@@ -91,6 +91,13 @@ class BenchmarkConfig:
         for b in self.bounds:
             if not b >= 0:  # also rejects NaN
                 raise ValueError(f"bounds must be nonnegative, got {b}")
+        if not 0 <= self.noise_sd < math.inf:  # also rejects NaN
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        for name, low, what in (("period_range", 0.0, "two finite periods 0 < lo <= hi"),
+                                ("amp_range", -math.inf, "two finite amplitudes lo <= hi")):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not low < pair[0] <= pair[1] < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be {what}, got {pair}")
 
     def cost(self, variant: str) -> CostConfig:
         """The training objective of one AE variant with this config's hyperparameters."""
@@ -332,11 +339,18 @@ def read_report(report_dir) -> list[metrics.EvalRow]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise FormatError(f"unexpected report header: {header}")
+        columns = header.split(",")
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",", len(_CSV_TYPES) - 1)  # a status may hold commas
             if len(parts) != len(_CSV_TYPES):
                 raise FormatError(f"report line {lineno}: {len(parts)} fields, expected {len(_CSV_TYPES)}")
-            rows.append(metrics.EvalRow(*(kind(part) for kind, part in zip(_CSV_TYPES, parts))))
+            values = []
+            for column, kind, part in zip(columns, _CSV_TYPES, parts):
+                try:
+                    values.append(kind(part))
+                except ValueError:
+                    raise FormatError(f"report line {lineno}: {column} {part!r} is not a valid {kind.__name__}") from None
+            rows.append(metrics.EvalRow(*values))
     return rows
 
 

@@ -5,8 +5,8 @@ transmitted alongside an indicator bitmap; patching them back in on the
 receiver caps the per-index error at the bound. This module holds the one
 patch rule that the AE codec and the PCA and DCT baselines share: `patches`
 encodes, `apply` decodes and `row_bits` charges. A patch is a float32
-residual added to the reconstruction, or in lossless (wide) mode the float64
-reading itself, written in its place: that round trip is exact by
+residual added to the reconstruction, or in lossless mode (bound 0) the
+float64 reading itself, written in its place: that round trip is exact by
 construction.
 """
 
@@ -68,20 +68,18 @@ def patch_dtype(wide: bool) -> np.dtype:
     return np.dtype(np.float64 if wide else np.float32)
 
 
-def patches(p, q, bound: float, wide: bool | None = None) -> ResidualCode:
+def patches(p, q, bound: float) -> ResidualCode:
     """The patches that bring reconstructions q within `bound` of readings p, both raveled.
 
-    `wide` (the default at bound 0) sends each patched reading whole; otherwise
-    its residual goes as float32, checked against the bound after rounding.
-    Raises PrecisionError when float32 rounding of a residual breaks the bound.
+    At bound 0 each patched reading is sent whole; otherwise its residual goes
+    as float32, checked against the bound after rounding. Raises
+    PrecisionError when float32 rounding of a residual breaks the bound.
     """
     p = np.asarray(p, dtype=np.float64).ravel()
     q = np.asarray(q, dtype=np.float64).ravel()
     code = residual_code(p - q, bound)
     patched = code.indicator
-    if wide is None:
-        wide = bound == 0.0
-    if wide:
+    if bound == 0.0:
         return ResidualCode(indicator=patched, values=p[patched])
     values = code.values.astype(patch_dtype(False))
     err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))

@@ -144,14 +144,30 @@ class TestCompressDecompress:
         assert recon.shape == windows.shape
         assert np.max(np.abs(recon - windows)) <= 0.3
 
-    def test_lossless_bound_on_lossy_model_is_usage_error(self, tiny_config, tmp_path, capsys):
+    def test_lossless_bound_on_lossy_model_is_exact(self, tiny_config, tmp_path):
         model_path = str(tmp_path / "m.aeb")
-        cli.main(["train", "--config", tiny_config, "--seed", "1", "--out", model_path])
+        assert cli.main(["train", "--config", tiny_config, "--seed", "1", "--out", model_path]) == 0
+        csv_path = write_csv(tmp_path)
+        packets, out_csv = str(tmp_path / "p.bin"), str(tmp_path / "rec.csv")
+        assert cli.main(["compress", "--model", model_path, "--input", csv_path,
+                         "--bound", "0", "--out", packets, "--verify"]) == 0
+        assert cli.main(["decompress", "--model", model_path, "--packets", packets, "--out", out_csv]) == 0
+        windows = dataset.make_windows(dataset.load_csv(csv_path, "t"), "temporal", 12)
+        recon = np.loadtxt(out_csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        assert np.array_equal(recon.view(np.uint64), windows.view(np.uint64))
+
+    def test_lossy_bound_on_lossless_model_sends_32_bit_patches(self, tiny_config, tmp_path):
+        model_path = str(tmp_path / "m.aeb")
+        assert cli.main(["train", "--config", tiny_config, "--seed", "1", "--set", "bounds", "0",
+                         "--out", model_path]) == 0
         packets = tmp_path / "p.bin"
-        assert cli.main(["compress", "--model", model_path, "--input", write_csv(tmp_path),
-                         "--bound", "0", "--out", str(packets)]) == 2
-        assert not packets.exists()
-        assert "lossless" in capsys.readouterr().err
+        assert cli.main(["compress", "--model", model_path, "--input", write_csv(tmp_path, steps=120),
+                         "--bound", "0.1", "--out", str(packets)]) == 0
+        model, default_bound = codec.load_model(model_path)
+        back = codec.read_packet_stream(packets, model.n, model.k)
+        assert default_bound == 0.0 and back.eps.values.dtype == np.float32 and back.eps.count > 0
+        head = 4 + 4 * model.k + 4 + (model.n + 7) // 8  # prefix, code, mean, indicator
+        assert packets.stat().st_size == len(back) * head + 4 * back.eps.count
 
     def test_truncated_packet_file(self, tiny_config, tmp_path, capsys):
         model_path = str(tmp_path / "m.aeb")
@@ -313,11 +329,16 @@ class TestConfigKeys:
             ("bench", ["--set", "window", "0"], "window"),
             ("bench", ["--set", "sensors", "0"], "sensors"),
             ("bench", ["--set", "steps", "0"], "steps"),
+            ("bench", ["--set", "noise_sd", "-1"], "noise_sd"),
+            ("bench", ["--set", "period_range", "5"], "period_range"),
+            ("bench", ["--set", "period_range", "0,0"], "period_range"),
+            ("bench", ["--set", "amp_range", "3,1"], "amp_range"),
             ("compress", ["--bound", "nan"], "--bound"),
             ("compress", ["--bound", "-1"], "--bound"),
         ],
         ids=["mode", "fold_rotations", "folds", "variants", "k", "max_iters", "bounds", "stride",
              "dataset", "rho", "beta", "beta-nan", "eta", "window", "sensors", "steps",
+             "noise_sd", "period_range-one", "period_range-zero", "amp_range-reversed",
              "bound-nan", "bound-negative"],
     )
     def test_bad_value_is_usage_error(self, tiny_config, tmp_path, capsys, command, extra, named):
@@ -366,7 +387,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("mode, default_bound, digests", [
         ("temporal", 0.6, ("abcfada201343e6eb64259f17e6dd69c5004efc5f5aff7e2aa0dc7150f0d104a",
                            "f0195f2c4f41046279546178286977e1d2902aca4dafa4cb15783a828dae3d9a")),
-        ("temporal", 0.0, ("0ca2ece7aae5415ba892eac59aacdb0c294935ddd690a0c615f1164a0b37c1a7",
+        ("temporal", 0.0, ("5ae97f8c9c375d242291973a8f4a2d3fec73a69f17f2ab02793eeaccb2cc454f",
                            "386158fba45578dd5b975c7043709dca5d19419b8b2f43c3502ef83adb3f1cdc")),
         ("spatial", 0.6, ("d5a775d0ec6898502dae6002e7453d8e00b4db10f7fbf1cb2f1edfee9e204847",
                           "06d2fc7642a39a65543f7f0ad58b043bc922dca812913ec74d18fea5f8cca571")),

@@ -32,9 +32,9 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
     )
 
 
-def stream_of(blobs) -> bytes:
-    """Packet bodies joined with their u32 length prefixes."""
-    return b"".join(struct.pack("<I", len(blob)) + blob for blob in blobs)
+def stream_of(blobs, wide=False) -> bytes:
+    """Packet bodies joined with their u32 length prefixes, flagged when the patches are float64."""
+    return b"".join(struct.pack("<I", len(blob) | (codec.WIDE_FLAG if wide else 0)) + blob for blob in blobs)
 
 
 class TestCompressDecompress:
@@ -110,8 +110,6 @@ class TestCompressDecompress:
         P = np.random.default_rng(13).uniform(15.0, 30.0, (20, 8))
         with pytest.raises(PrecisionError, match="32-bit residual quantization"):
             codec.compress_batch(P, model, 1e-9)
-        packets = codec.compress_batch(P, model, 1e-9, wide_residuals=True)
-        assert np.max(np.abs(codec.decompress_batch(packets, model) - P)) <= 1e-9
 
     def test_bits_monotone_in_bound(self, model):
         rng = np.random.default_rng(3)
@@ -309,20 +307,20 @@ class TestLossless:
         packets = codec.compress_batch(windows, wide_model, 0.0)
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, 16, 4, path)
-        back = codec.read_packet_stream(path, 16, 4, wide_residuals=True)
+        back = codec.read_packet_stream(path, 16, 4)
         decoded = codec.decompress_batch(back, wide_model)
         assert np.array_equal(decoded.view(np.uint64), windows.view(np.uint64))
         blob = codec.serialize_packet(codec.compress(windows[0], wide_model, 0.0), 16, 4)
         one = codec.deserialize_packet(blob, 16, 4, wide_residuals=True)
         assert np.array_equal(codec.decompress(one, wide_model), windows[0])
 
-    def test_wide_patches_at_a_lossy_bound(self, windows, wide_model):
-        packets = codec.compress_batch(windows, wide_model, 0.3, wide_residuals=True)
-        patched = packets.eps.indicator.reshape(windows.shape)
-        assert packets.eps.values.dtype == np.float64 and patched.any()
-        decoded = codec.decompress_batch(packets, wide_model)
-        assert np.array_equal(decoded[patched], windows[patched])
-        assert np.max(np.abs(decoded - windows)) <= 0.3
+    def test_unflagged_lossless_stream_rejected(self, tmp_path, windows, wide_model):
+        # the layout before the length prefix carried the width: 8-byte patches, no flag
+        blobs = [codec.serialize_packet(pkt, 16, 4) for pkt in codec.compress_batch(windows[:5], wide_model, 0.0)]
+        path = tmp_path / "packets.bin"
+        path.write_bytes(stream_of(blobs))
+        with pytest.raises(FormatError, match=r"^packet 0: length \d+ != expected"):
+            codec.read_packet_stream(path, 16, 4)
 
     def test_writers_reject_other_widths(self, tmp_path):
         pkt = random_packet(np.random.default_rng(12), 8, 3, n_resid=2)
@@ -344,6 +342,18 @@ class TestPacketStream:
         codec.write_packet_stream(packets, 8, 3, path)
         back = codec.read_packet_stream(path, 8, 3)
         assert len(back) == 7 and list(back) == list(packets)
+
+    @pytest.mark.parametrize("first_wide", [False, True])
+    def test_mixed_widths_name_the_first_that_differs(self, tmp_path, first_wide):
+        rng = np.random.default_rng(16)
+        widths = [first_wide, first_wide, not first_wide, first_wide]
+        data = b"".join(stream_of([codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2, wide=wide), 8, 3)], wide)
+                        for wide in widths)
+        path = tmp_path / "packets.bin"
+        path.write_bytes(data)
+        bits = (64, 32) if first_wide else (32, 64)
+        with pytest.raises(FormatError, match=rf"^packet 2: {bits[1]}-bit patches in a stream of {bits[0]}-bit ones"):
+            codec.read_packet_stream(path, 8, 3)
 
     def test_truncated_stream_names_packet_index(self, model, tmp_path):
         rng = np.random.default_rng(11)
@@ -398,17 +408,17 @@ class TestBatchParity:
                                b_dec=theta.b_dec, n=n, k=k, sigma=SpheringScale(float(rng.uniform(0.5, 4))))
         wide = bound == 0.0
 
-        packets = codec.compress_batch(P, model, bound, wide)
+        packets = codec.compress_batch(P, model, bound)
         rows = list(packets)
         assert len(packets) == len(rows) == count
-        assert rows == [codec.compress(p, model, bound, wide) for p in P]
+        assert rows == [codec.compress(p, model, bound) for p in P]
         assert rows == [reference_compress(p, model, bound, wide) for p in P]
 
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, n, k, path)
-        assert path.read_bytes() == stream_of(codec.serialize_packet(pkt, n, k) for pkt in rows)
+        assert path.read_bytes() == stream_of((codec.serialize_packet(pkt, n, k) for pkt in rows), wide)
 
-        decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k, wide), model)
+        decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k), model)
         one_by_one = np.array([codec.decompress(pkt, model) for pkt in rows])
         reference = np.array([reference_decompress(pkt, model) for pkt in rows])
         assert np.array_equal(decoded.view(np.uint64), one_by_one.view(np.uint64))
@@ -444,12 +454,12 @@ class TestFuzz:
         assert len(codec.serialize_packet(packet, n, k)) == len(data)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.binary(max_size=300), n=st.integers(1, 20), k=st.integers(1, 6), wide=st.booleans())
-    def test_read_packet_stream(self, tmp_path_factory, data, n, k, wide):
+    @given(data=st.binary(max_size=300), n=st.integers(1, 20), k=st.integers(1, 6))
+    def test_read_packet_stream(self, tmp_path_factory, data, n, k):
         path = tmp_path_factory.mktemp("fuzz") / "packets.bin"
         path.write_bytes(data)
         try:
-            packets = codec.read_packet_stream(path, n, k, wide)
+            packets = codec.read_packet_stream(path, n, k)
         except FormatError:
             return
         codec.write_packet_stream(packets, n, k, path)
@@ -490,7 +500,7 @@ class TestFuzz:
                  for _ in range(count)]
         bad = int(rng.integers(count))
         start = sum(4 + len(blob) for blob in blobs[:bad])
-        data = bytearray(stream_of(blobs))
+        data = bytearray(stream_of(blobs, wide))
         if cut:  # end the file inside the bad packet
             data = data[: start + int(rng.integers(1, 4 + len(blobs[bad])))]
         else:  # give the bad packet a wrong length prefix: any, a little long, one short
@@ -501,4 +511,4 @@ class TestFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "packets.bin"
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=rf"^packet {bad}: "):
-            codec.read_packet_stream(path, n, k, wide)
+            codec.read_packet_stream(path, n, k)

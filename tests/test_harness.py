@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,4 +179,14 @@ class TestReadReport:
     def test_short_line(self, tmp_path):
         (tmp_path / "report.csv").write_text(harness.CSV_HEADER + "\nLTC,0.1,50.0\n")
         with pytest.raises(FormatError, match="report line 2: 3 fields"):
+            harness.read_report(tmp_path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("LTC,0.1,abc,0.0,0.0,96,0,3840,0.000,ok", "report line 3: cr 'abc' is not a valid float"),
+        ("LTC,0.1,50.0,0.0,0.0,96,1.5,3840,0.000,ok", "report line 3: bits_residual '1.5' is not a valid int"),
+    ], ids=["float", "int"])
+    def test_bad_number_names_line_and_column(self, tmp_path, row, message):
+        good = "LTC,0.1,50.0,0.0,0.0,96,0,3840,0.000,ok"
+        (tmp_path / "report.csv").write_text(f"{harness.CSV_HEADER}\n{good}\n{row}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             harness.read_report(tmp_path)
