@@ -244,14 +244,6 @@ def _unpack_code_rows(data: bytes, starts, stops) -> list[list[int]]:
     return [codes[e - c : e] for e, c in zip(ends.tolist(), counts.tolist())]
 
 
-def _pack_codes(codes: list[int]) -> bytes:
-    return _pack_code_rows([codes])[0]
-
-
-def _unpack_codes(data: bytes) -> list[int]:
-    return _unpack_code_rows(data, [0], [len(data)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Truncated LZW: fixed-point quantization + LZW
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ code. The encoder forms residuals against the reconstruction computed from
 the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
 so float quantization of the code can never break the error bound. Patches
 follow `residual`'s rule: a 32-bit residual added to the reconstruction,
-except in lossless mode (bound = 0), where it is the 64-bit reading itself,
-written in place of the reconstruction. A stream says which: the top bit of
-each packet's length prefix is set when its patches are 64-bit.
+except at bound 0, or where 32 bits cannot hold the bound, where it is the
+64-bit reading itself, written in place of the reconstruction. A stream says
+which: the top bit of each packet's length prefix is set when its patches
+are 64-bit.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -29,7 +30,7 @@ import numpy as np
 from .autoencoder import ModelParams, matvecs, sigmoid
 from . import residual
 from .errors import FormatError, UnsupportedVersionError
-from .residual import ResidualCode, residual_decode  # residual_decode is re-exported as codec's
+from .residual import ResidualCode
 from .sphering import SpheringScale, denormalize, normalize
 
 MODEL_MAGIC = b"AEB1"
@@ -103,8 +104,9 @@ def compress_batch(P, model: ModelParams, bound: float) -> Packets:
     """Encode each row of a (B, n) batch into a packet honoring the error bound.
 
     Row i is bit-identical to `compress(P[i])`. The patches are
-    `residual.patches`: float64 readings at bound 0, else float32 residuals,
-    or PrecisionError.
+    `residual.patches`: float32 residuals at a positive bound that float32
+    can hold, else float64 readings for the whole batch, so every
+    nonnegative bound holds.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -218,8 +220,7 @@ def _parse_stream(data: np.ndarray, prefixes: list[int], n: int, k: int) -> Pack
         raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
     if whole < len(lengths):
         raise FormatError(f"packet {whole}: truncated: {lengths[whole]} bytes, need at least {base}")
-    value_dtype = residual.patch_dtype(bool(wide[:1].any())).newbyteorder("<")
-    values = data[part == 2].view(value_dtype)
+    values = data[part == 2].view("<f8" if wide[:1].any() else "<f4")
     return Packets(
         y=heads[:, : 4 * k].copy().view("<f4"),
         m=heads[:, 4 * k: 4 * k + 4].copy().view("<f4")[:, 0],
@@ -238,6 +239,7 @@ def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False
 
     A lone packet has no length prefix to carry its patch width, so the
     caller names it: float64 patches when `wide_residuals`, else float32.
+    Float64 patches come from bound 0 or from any bound float32 cannot hold.
     """
     prefix = len(data) | (WIDE_FLAG if wide_residuals else 0)
     stream = np.frombuffer(struct.pack("<I", prefix) + bytes(data), dtype=np.uint8)

@@ -33,9 +33,5 @@ class UnsupportedVersionError(FormatError):
     """Serialized data written by a newer format version."""
 
 
-class PrecisionError(AeboundError):
-    """Wire-precision quantization cannot honor the requested error bound."""
-
-
 class RangeError(AeboundError):
     """Value outside the representable fixed-point range."""

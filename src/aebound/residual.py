@@ -5,9 +5,9 @@ transmitted alongside an indicator bitmap; patching them back in on the
 receiver caps the per-index error at the bound. This module holds the one
 patch rule that the AE codec and the PCA and DCT baselines share: `patches`
 encodes, `apply` decodes and `row_bits` charges. A patch is a float32
-residual added to the reconstruction, or in lossless mode (bound 0) the
-float64 reading itself, written in its place: that round trip is exact by
-construction.
+residual added to the reconstruction, or, at bound 0 and wherever float32
+cannot hold the bound, the float64 reading itself, written in its place:
+that round trip is exact by construction, so every nonnegative bound holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, PrecisionError
+from .errors import FormatError
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,25 @@ def residual_decode(code: ResidualCode, n: int) -> np.ndarray:
     return out
 
 
-def patch_dtype(wide: bool) -> np.dtype:
-    """The dtype of a patch: the float64 reading when wide, else the float32 residual."""
-    return np.dtype(np.float64 if wide else np.float32)
-
-
 def patches(p, q, bound: float) -> ResidualCode:
     """The patches that bring reconstructions q within `bound` of readings p, both raveled.
 
-    At bound 0 each patched reading is sent whole; otherwise its residual goes
-    as float32, checked against the bound after rounding. Raises
-    PrecisionError when float32 rounding of a residual breaks the bound.
+    At a positive bound the patches are float32 residuals when every patched
+    reading, rebuilt as `apply` adds its residual back, stays within the
+    bound. Otherwise, at bound 0 or a bound finer than float32 resolution,
+    the whole batch goes as the float64 readings themselves, exact at any bound.
     """
     p = np.asarray(p, dtype=np.float64).ravel()
     q = np.asarray(q, dtype=np.float64).ravel()
     code = residual_code(p - q, bound)
     patched = code.indicator
-    if bound == 0.0:
-        return ResidualCode(indicator=patched, values=p[patched])
-    values = code.values.astype(patch_dtype(False))
-    err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
-    if not np.all(np.isfinite(values)) or np.any(err > bound):
-        raise PrecisionError(
-            "32-bit residual quantization exceeds the bound; "
-            "use lossless mode (bound=0) or a larger bound"
-        )
-    return ResidualCode(indicator=patched, values=values)
+    if bound > 0.0:
+        with np.errstate(over="ignore"):  # a residual that overflows float32 rebuilds with an infinite error
+            values = code.values.astype(np.float32)
+        err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
+        if not np.any(err > bound):
+            return ResidualCode(indicator=patched, values=values)
+    return ResidualCode(indicator=patched, values=p[patched])
 
 
 def apply(code: ResidualCode, q: np.ndarray) -> np.ndarray:
@@ -96,7 +89,7 @@ def apply(code: ResidualCode, q: np.ndarray) -> np.ndarray:
 
     A float64 patch replaces its reading; a float32 one is added to it.
     """
-    if code.values.dtype == patch_dtype(True):
+    if code.values.dtype == np.float64:
         q[code.indicator.reshape(q.shape)] = code.values
     else:
         q += residual_decode(code, q.size).reshape(q.shape)

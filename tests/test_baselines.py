@@ -234,7 +234,8 @@ class TestLzwCore:
     def test_code_packing_roundtrip(self):
         rng = np.random.default_rng(3)
         codes = [int(c) for c in rng.integers(0, 4096, 500)]
-        assert baselines._unpack_codes(baselines._pack_codes(codes)) == codes
+        packed = baselines._pack_code_rows([codes])[0]
+        assert baselines._unpack_code_rows(packed, [0], [len(packed)])[0] == codes
 
     def test_invalid_code_rejected(self):
         with pytest.raises(FormatError):
@@ -381,15 +382,15 @@ class TestLzwBitParity:
             codes = [int(c) for c in rng.integers(0, 4096, size)]
             if size:
                 codes[0], codes[-1] = 4095, 0
-            packed = baselines._pack_codes(codes)
+            packed = baselines._pack_code_rows([codes])[0]
             assert packed == _ref_pack_codes(codes)
-            assert baselines._unpack_codes(packed) == _ref_unpack_codes(packed) == codes
+            assert baselines._unpack_code_rows(packed, [0], [len(packed)])[0] == _ref_unpack_codes(packed) == codes
 
     def test_unpack_matches_reference_on_arbitrary_bytes(self):
         rng = np.random.default_rng(21)
         for size in range(0, 40):
             data = bytes(rng.integers(0, 256, size, dtype=np.uint8))
-            assert baselines._unpack_codes(data) == _ref_unpack_codes(data)
+            assert baselines._unpack_code_rows(data, [0], [len(data)])[0] == _ref_unpack_codes(data)
 
     @pytest.mark.parametrize("bound, fraction_bits", [(0.0, 24), (0.5, 0), (0.02, 5), (3.0, 0)])
     @pytest.mark.parametrize("integer_bits", [16])  # the writer's width

@@ -156,6 +156,15 @@ class TestCompressDecompress:
         recon = np.loadtxt(out_csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
         assert np.array_equal(recon.view(np.uint64), windows.view(np.uint64))
 
+    def test_bound_below_float32_resolution_verifies(self, tmp_path, capsys):
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)  # readings near 15
+        packets = tmp_path / "p.bin"
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
+                         "--bound", "1e-9", "--out", str(packets), "--verify"]) == 0
+        assert "verify ok" in capsys.readouterr().out
+        model, _ = codec.load_model(model_path)
+        assert codec.read_packet_stream(packets, model.n, model.k).eps.values.dtype == np.float64
+
     def test_lossy_bound_on_lossless_model_sends_32_bit_patches(self, tiny_config, tmp_path):
         model_path = str(tmp_path / "m.aeb")
         assert cli.main(["train", "--config", tiny_config, "--seed", "1", "--set", "bounds", "0",

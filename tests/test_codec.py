@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aebound import autoencoder as ae, codec, dataset
-from aebound.errors import FormatError, PrecisionError, UnsupportedVersionError
-from aebound.residual import ResidualCode
+from aebound.errors import FormatError, UnsupportedVersionError
+from aebound.residual import ResidualCode, residual_decode
 from aebound.sphering import SpheringScale, normalize
 
 
@@ -30,6 +30,16 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
         eps=ResidualCode(indicator=indicator,
                          values=rng.normal(size=n_resid).astype(np.float64 if wide else np.float32)),
     )
+
+
+def stream_prefixes(data: bytes) -> list[int]:
+    """The u32 length prefixes of a packet stream, walked by their low 31 bits."""
+    prefixes, offset = [], 0
+    while offset < len(data):
+        (prefix,) = struct.unpack_from("<I", data, offset)
+        prefixes.append(prefix)
+        offset += 4 + (prefix & (codec.WIDE_FLAG - 1))
+    return prefixes
 
 
 def stream_of(blobs, wide=False) -> bytes:
@@ -105,11 +115,35 @@ class TestCompressDecompress:
         with pytest.raises(FormatError):
             codec.decompress(bad, model)
 
-    def test_bound_below_float32_resolution_raises(self, model):
-        """Near 15-30, float32 residuals round by ~1e-7: a 1e-9 bound needs lossless patches."""
+    def test_bound_below_float32_resolution_falls_back_to_readings(self, model, tmp_path):
+        """Near 15-30, float32 residuals round by ~1e-7: at 1e-9 the batch goes as float64 readings."""
         P = np.random.default_rng(13).uniform(15.0, 30.0, (20, 8))
-        with pytest.raises(PrecisionError, match="32-bit residual quantization"):
-            codec.compress_batch(P, model, 1e-9)
+        packets = codec.compress_batch(P, model, 1e-9)
+        assert packets.eps.values.dtype == np.float64 and packets.eps.count > 0
+        path = tmp_path / "packets.bin"
+        codec.write_packet_stream(packets, 8, 3, path)
+        assert all(prefix & codec.WIDE_FLAG for prefix in stream_prefixes(path.read_bytes()))
+        decoded = codec.decompress_batch(codec.read_packet_stream(path, 8, 3), model)
+        assert np.max(np.abs(decoded - P)) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:code dimension k")  # k >= n is a valid model
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), n=st.integers(1, 12),
+           k=st.integers(1, 4), sigma=st.floats(0.1, 10.0), offset=st.floats(-1e6, 1e6),
+           log_bound=st.floats(-12.0, 0.0))
+    def test_every_positive_bound_holds_through_a_stream(self, tmp_path_factory, seed, count, n, k,
+                                                         sigma, offset, log_bound):
+        rng = np.random.default_rng(seed)
+        theta = ae.init_params(n, k, seed=int(rng.integers(1000)))
+        model = ae.ModelParams(w_enc=theta.w_enc, b_enc=theta.b_enc, w_dec=theta.w_dec,
+                               b_dec=theta.b_dec, n=n, k=k, sigma=SpheringScale(sigma))
+        P = offset + rng.normal(0, 3 * sigma, (count, n))
+        bound = 10.0 ** log_bound
+        packets = codec.compress_batch(P, model, bound)
+        path = tmp_path_factory.mktemp("bound") / "packets.bin"
+        codec.write_packet_stream(packets, n, k, path)
+        decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k), model)
+        assert np.max(np.abs(decoded - P)) <= bound
 
     def test_bits_monotone_in_bound(self, model):
         rng = np.random.default_rng(3)
@@ -389,7 +423,7 @@ def reference_decompress(pkt, model):
     if pkt.eps.values.dtype == np.float64:
         q[pkt.eps.indicator] = pkt.eps.values
         return q
-    return q + codec.residual_decode(pkt.eps, model.n)
+    return q + residual_decode(pkt.eps, model.n)
 
 
 class TestBatchParity:

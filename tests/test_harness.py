@@ -119,13 +119,14 @@ class TestPerBoundFailures:
         assert tenth.status == expected.status == "ok"
         assert dataclasses.replace(tenth, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
 
-    def test_bound_below_float32_resolution_fails_only_its_row(self):
-        cfg = dataclasses.replace(GOLDEN_CONFIG, bounds=(1e-9, 0.1), variants=(), baseline_methods=("pca",))
-        fine, tenth = harness.run_benchmark(cfg)
-        assert fine.status.startswith("failed:PrecisionError: 32-bit residual quantization exceeds the bound")
-        (expected,) = harness.run_benchmark(dataclasses.replace(cfg, bounds=(0.1,)))
-        assert tenth.status == expected.status == "ok"
-        assert dataclasses.replace(tenth, wall_time=0.0) == dataclasses.replace(expected, wall_time=0.0)
+    def test_bound_below_float32_resolution_sends_readings(self):
+        cfg = dataclasses.replace(GOLDEN_CONFIG, bounds=(0.0, 1e-9), variants=(), baseline_methods=("pca",))
+        zero, fine = harness.run_benchmark(cfg)
+        assert fine.status == zero.status == "ok" and fine.eps_abs <= 1e-9
+        # float64 readings as at bound 0: an indicator bit per reading, then 64 bits per patch
+        indicator_bits = fine.bits_raw // harness.RAW_BITS_PER_READING
+        assert fine.bits_residual > indicator_bits and (fine.bits_residual - indicator_bits) % 64 == 0
+        assert (fine.bits_residual, fine.cr) == (zero.bits_residual, zero.cr)
 
     def test_round_trip_that_cannot_be_built_fails_every_bound(self):
         cfg = dataclasses.replace(GOLDEN_CONFIG, k_list=(13,), variants=(), baseline_methods=("pca",))

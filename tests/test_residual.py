@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,3 +121,15 @@ class TestPatchRule:
         code = residual.patches(np.zeros((0, 4)), np.zeros((0, 4)), 0.1)
         assert residual.row_bits(code, 4).shape == (0,)
         assert residual.apply(code, np.zeros((0, 4))).shape == (0, 4)
+
+    @pytest.mark.parametrize("p, q, bound", [
+        ([15.1, 15.0], [0.3, 15.0], 1e-9),  # float32 rounds the residual by more than the bound
+        ([1e39, 1.0], [0.0, 1.0], 1.0),  # the residual overflows float32
+    ], ids=["below-resolution", "overflow"])
+    def test_what_float32_cannot_hold_goes_as_readings(self, p, q, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = residual.patches(p, q, bound)
+        assert code.values.dtype == np.float64
+        np.testing.assert_array_equal(code.values, np.array(p)[code.indicator])
+        assert np.max(np.abs(residual.apply(code, np.array(q)) - p)) <= bound
