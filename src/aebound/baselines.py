@@ -136,13 +136,8 @@ def ltc_decompress(knots) -> np.ndarray:
     return ltc_decompress_batch(mask, row)[0]
 
 
-def ltc_bits(knots) -> int:
-    """Wire cost: one 32-bit start value, then 32-bit index + value per further knot."""
-    return 32 + 64 * (len(knots[0]) - 1)
-
-
 def ltc_bits_batch(knots) -> np.ndarray:
-    """`ltc_bits` of each row of a (B, n) knot mask."""
+    """Wire cost per row of a (B, n) knot mask: a 32-bit start value, then 32-bit index + value per further knot."""
     return 32 + 64 * (np.count_nonzero(knots, axis=1) - 1)
 
 

@@ -77,12 +77,14 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     if not cfg.variants:
         raise UsageError("train needs at least one entry in variants")
+    bound = cfg.bounds[0]
+    if not np.isfinite(bound):  # save_model would refuse it, so fail before the fit
+        raise UsageError(f"train saves bounds[0] as the model's default bound, which must be finite, got {bound}")
     windows = harness.load_windows(cfg)
     variant = cfg.variants[0]
     k = cfg.k_list[0]
     n = windows.shape[1]
     model, trace = train_model(windows, n, k, cfg.cost(variant), cfg.optimizer, cfg.seed)
-    bound = cfg.bounds[0]
     codec.save_model(model, bound, args.out)
     print(
         f"trained {variant.upper()} n={n} k={k} on {len(windows)} vectors: "

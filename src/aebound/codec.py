@@ -8,21 +8,20 @@ follow `residual`'s rule: a 32-bit residual added to the reconstruction,
 except at bound 0, or where 32 bits cannot hold the bound, where it is the
 64-bit reading itself, written in place of the reconstruction. A stream says
 which: the top bit of each packet's length prefix is set when its patches
-are 64-bit.
+are 64-bit. A lone packet's length says it: 8 bytes per patch, not 4.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
 written and read whole. A packet is a one-row `Packets`: `compress` and
-`deserialize_packet` return one, and `decompress`, `serialize_packet` and
-`packet_size_bits` take one and raise ValueError for any other length. They
-run the same code as the batch functions, so a batch row is bit-identical to
-the packet of that row alone.
+`deserialize_packet` return one, and `decompress` and `serialize_packet`
+take one and raise ValueError for any other length. They run the same code
+as the batch functions, so a batch row is bit-identical to the packet of
+that row alone.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,8 @@ class Packets:
 
     The residual code runs over the B*n readings in row-major order, so its
     values are the per-packet values concatenated. A packet is a one-row
-    `Packets`. Equality is bitwise: shapes, bytes and the patch dtype.
+    `Packets`. Equality is bitwise: shapes, bytes and, where there are
+    patches, their dtype; no patches carry no width.
     """
 
     y: np.ndarray  # float32, (B, k)
@@ -67,22 +67,12 @@ class Packets:
             and self.y.tobytes() == other.y.tobytes()
             and self.m.tobytes() == other.m.tobytes()
             and np.array_equal(self.eps.indicator, other.eps.indicator)
-            and self.eps.values.dtype == other.eps.values.dtype
             and self.eps.values.tobytes() == other.eps.values.tobytes()
+            and (self.eps.values.dtype == other.eps.values.dtype or not self.eps.values.size)
         )
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    def __iter__(self) -> Iterator[Packets]:
-        """The rows, one packet each."""
-        count = len(self)
-        indicator = self.eps.indicator.reshape(count, self.eps.indicator.shape[0] // max(count, 1))
-        start = 0
-        for i, row in enumerate(indicator):
-            end = start + int(row.sum())
-            yield Packets(y=self.y[i:i + 1], m=self.m[i:i + 1], eps=ResidualCode(row, self.eps.values[start:end]))
-            start = end
 
 
 def _check_one(packet: Packets) -> None:
@@ -151,13 +141,25 @@ def decompress(packet: Packets, model: ModelParams) -> np.ndarray:
     return decompress_batch(packet, model)[0]
 
 
+def _head_size(n: int, k: int) -> int:
+    """Bytes of a packet before its patches in a stream: u32 prefix, k x f32 code, f32 mean, indicator."""
+    return 4 + 4 * k + 4 + (n + 7) // 8
+
+
+def _head_mask(head: int, value_bytes: np.ndarray) -> np.ndarray:
+    """Per stream byte, True in a packet's head and False in its patches, for packets laid out head, then values."""
+    count = value_bytes.shape[0]
+    return np.repeat(np.tile([True, False], count), np.column_stack([np.full(count, head), value_bytes]).ravel())
+
+
 def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     """Packets in the wire layout, each prefixed by its u32 LE byte count.
 
     Packet body: k x f32 code, f32 mean, ceil(n/8) indicator bytes
-    (LSB-first), then one patch per set bit in ascending index order, as f32
-    or f64 like the values' dtype, all little-endian. The prefix's low 31 bits
-    are the body's byte count; its top bit, `WIDE_FLAG`, is set for f64 patches.
+    (LSB-first, zero-padded), then one patch per set bit in ascending index
+    order, as f32 or f64 like the values' dtype, all little-endian. The
+    prefix's low 31 bits are the body's byte count; its top bit, `WIDE_FLAG`,
+    is set for f64 patches.
     """
     _check_shapes(packets, n, k)
     values = packets.eps.values
@@ -166,8 +168,9 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     count = len(packets)
     value_size = values.dtype.itemsize
     indicator = packets.eps.indicator.reshape(count, n)
+    head = _head_size(n, k)
     value_bytes = value_size * indicator.sum(axis=1)
-    lengths = 4 * k + 4 + (n + 7) // 8 + value_bytes
+    lengths = head - 4 + value_bytes
     if count and lengths.max() >= WIDE_FLAG:
         raise ValueError(f"packet body of {lengths.max()} bytes does not fit the 31-bit length prefix")
     prefixes = lengths + (WIDE_FLAG if value_size == 8 else 0)
@@ -177,53 +180,66 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
         packets.m.astype("<f4")[:, None].view(np.uint8),
         np.packbits(indicator, axis=1, bitorder="little"),
     ], axis=1)
-    # each packet is its head (prefix, code, mean, indicator), then its values
-    in_head = np.repeat(
-        np.tile([True, False], count),
-        np.column_stack([np.full(count, heads.shape[1]), value_bytes]).ravel(),
-    )
+    in_head = _head_mask(head, value_bytes)
     out = np.empty(in_head.shape[0], dtype=np.uint8)
     out[in_head] = heads.ravel()
     out[~in_head] = values.astype(f"<f{value_size}").view(np.uint8)
     return out
 
 
-def _parse_stream(data: np.ndarray, prefixes: list[int], n: int, k: int) -> Packets:
-    """Inverse of `_stream_bytes`, given each packet's u32 length prefix.
+def _parse_stream(data: bytes, n: int, k: int) -> Packets:
+    """Inverse of `_stream_bytes`; the first bad packet is named by its index.
 
-    `data` holds exactly the prefixes and bodies. Each body's length is
-    checked against its own prefix's patch width, and every width must be
-    packet 0's; the first bad packet is named by its index.
+    Each body's length is checked against its own prefix's patch width, every
+    width must be packet 0's, and the indicator's padding bits must be zero.
+    The walk over the prefixes stops at a truncated packet or a body shorter
+    than a head, which is reported once every packet before it parsed.
     """
-    prefixes = np.asarray(prefixes, dtype=np.int64)
+    head = _head_size(n, k)
+    unpack_prefix = struct.Struct("<I").unpack_from
+    prefixes = []
+    offset, size, walk_error = 0, len(data), None
+    while offset < size:
+        if size - offset < 4:
+            walk_error = f"packet {len(prefixes)}: truncated length prefix"
+            break
+        (prefix,) = unpack_prefix(data, offset)
+        length = prefix & (WIDE_FLAG - 1)
+        if size - offset - 4 < length:
+            walk_error = f"packet {len(prefixes)}: truncated body ({size - offset - 4}/{length} bytes)"
+            break
+        if length < head - 4:
+            walk_error = f"packet {len(prefixes)}: truncated: {length} bytes, need at least {head - 4}"
+            break
+        prefixes.append(prefix)
+        offset += 4 + length
+    prefixes = np.array(prefixes, dtype=np.int64)
+    count = prefixes.shape[0]
     wide = prefixes >= WIDE_FLAG
     lengths = prefixes & (WIDE_FLAG - 1)
-    base = 4 * k + 4 + (n + 7) // 8
-    short = np.flatnonzero(lengths < base)
-    whole = int(short[0]) if short.size else len(lengths)  # packets with a whole head
-    # each packet is its prefix, its head (code, mean, indicator), then its values
-    part = np.repeat(
-        np.tile(np.arange(3, dtype=np.uint8), whole),
-        np.column_stack([np.full(whole, 4), np.full(whole, base), lengths[:whole] - base]).ravel(),
-    )
-    data = data[: part.shape[0]]
-    heads = data[part == 1].reshape(whole, base)
-    indicator = np.unpackbits(heads[:, 4 * k + 4:], axis=1, count=n, bitorder="little").astype(bool)
-    bits = np.where(wide[:whole], 64, 32)
-    expected = base + bits // 8 * indicator.sum(axis=1)
-    mixed = wide[:whole] != wide[:1]
-    wrong = np.flatnonzero((lengths[:whole] != expected) | mixed)
+    stream = np.frombuffer(data, dtype=np.uint8, count=offset)
+    in_head = _head_mask(head, lengths - (head - 4))
+    heads = stream[in_head].reshape(count, head)
+    bits = np.unpackbits(heads[:, 4 * k + 8:], axis=1, bitorder="little")
+    indicator = bits[:, :n].astype(bool)
+    padded = bits[:, n:].any(axis=1)
+    patch_bits = np.where(wide, 64, 32)
+    expected = head - 4 + patch_bits // 8 * indicator.sum(axis=1)
+    mixed = wide != wide[:1]
+    wrong = np.flatnonzero((lengths != expected) | mixed | padded)
     if wrong.size:
         i = int(wrong[0])
         if mixed[i]:
-            raise FormatError(f"packet {i}: {bits[i]}-bit patches in a stream of {bits[0]}-bit ones")
+            raise FormatError(f"packet {i}: {patch_bits[i]}-bit patches in a stream of {patch_bits[0]}-bit ones")
+        if padded[i]:
+            raise FormatError(f"packet {i}: indicator padding bits past reading {n} are set")
         raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
-    if whole < len(lengths):
-        raise FormatError(f"packet {whole}: truncated: {lengths[whole]} bytes, need at least {base}")
-    values = data[part == 2].view("<f8" if wide[:1].any() else "<f4")
+    if walk_error is not None:
+        raise FormatError(walk_error)
+    values = stream[~in_head].view("<f8" if wide[:1].any() else "<f4")
     return Packets(
-        y=heads[:, : 4 * k].copy().view("<f4"),
-        m=heads[:, 4 * k: 4 * k + 4].copy().view("<f4")[:, 0],
+        y=heads[:, 4: 4 * k + 4].copy().view("<f4"),
+        m=heads[:, 4 * k + 4: 4 * k + 8].copy().view("<f4")[:, 0],
         eps=ResidualCode(indicator=indicator.ravel(), values=values),
     )
 
@@ -234,29 +250,26 @@ def serialize_packet(packet: Packets, n: int, k: int) -> bytes:
     return _stream_bytes(packet, n, k)[4:].tobytes()
 
 
-def deserialize_packet(data: bytes, n: int, k: int, wide_residuals: bool = False) -> Packets:
+def deserialize_packet(data: bytes, n: int, k: int) -> Packets:
     """Inverse of serialize_packet, as a one-row `Packets`; rejects truncated or oversized buffers.
 
-    A lone packet has no length prefix to carry its patch width, so the
-    caller names it: float64 patches when `wide_residuals`, else float32.
-    Float64 patches come from bound 0 or from any bound float32 cannot hold.
+    A lone packet has no length prefix, so its length gives its patch width:
+    a body of exactly a head plus 8 bytes per set indicator bit, with at least
+    one set, holds float64 patches, and any other body is read as float32.
+    The two never coincide, since 4c != 8c for c > 0 patches.
     """
-    prefix = len(data) | (WIDE_FLAG if wide_residuals else 0)
-    stream = np.frombuffer(struct.pack("<I", prefix) + bytes(data), dtype=np.uint8)
-    return _parse_stream(stream, [prefix], n, k)
+    data = bytes(data)
+    head = _head_size(n, k) - 4  # no prefix
+    indicator = np.unpackbits(np.frombuffer(data[4 * k + 4: head], np.uint8), bitorder="little")[:n]
+    patches = np.count_nonzero(indicator)
+    wide = patches > 0 and len(data) == head + 8 * patches
+    return _parse_stream(struct.pack("<I", len(data) | (WIDE_FLAG if wide else 0)) + data, n, k)
 
 
 def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-packet (code bits, residual bits) as two (B,) arrays; the mean is charged to the code side."""
     _check_shapes(packets, n, k)
     return np.full(len(packets), 32 * k + 32), residual.row_bits(packets.eps, n)
-
-
-def packet_size_bits(packet: Packets, n: int, k: int) -> tuple[int, int]:
-    """(code bits, residual bits) of one packet: its `packets_size_bits`."""
-    _check_one(packet)
-    code, res = packets_size_bits(packet, n, k)
-    return int(code[0]), int(res[0])
 
 
 def write_packet_stream(packets: Packets, n: int, k: int, path) -> None:
@@ -270,24 +283,7 @@ def read_packet_stream(path, n: int, k: int) -> Packets:
     """Read a length-prefixed packet stream; names the failing packet index."""
     with open(path, "rb") as fh:
         data = fh.read()
-    unpack_prefix = struct.Struct("<I").unpack_from
-    prefixes = []
-    offset, size, walk_error = 0, len(data), None
-    while offset < size:
-        if size - offset < 4:
-            walk_error = f"packet {len(prefixes)}: truncated length prefix"
-            break
-        (prefix,) = unpack_prefix(data, offset)
-        length = prefix & (WIDE_FLAG - 1)
-        if size - offset - 4 < length:
-            walk_error = f"packet {len(prefixes)}: truncated body ({size - offset - 4}/{length} bytes)"
-            break
-        prefixes.append(prefix)
-        offset += 4 + length
-    packets = _parse_stream(np.frombuffer(data, dtype=np.uint8, count=offset), prefixes, n, k)
-    if walk_error is not None:  # only after every earlier packet parsed
-        raise FormatError(walk_error)
-    return packets
+    return _parse_stream(data, n, k)
 
 
 def save_model(model: ModelParams, bound: float, path) -> None:

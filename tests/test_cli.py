@@ -90,6 +90,14 @@ class TestTrain:
         assert "variants" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_default_bound_is_usage_error_before_the_fit(self, tiny_config, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train_model", lambda *args: pytest.fail("trained with an unsavable bound"))
+        out = tmp_path / "m.aeb"
+        assert cli.main(["train", "--config", tiny_config, "--set", "bounds", "inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "bounds" in err
+        assert not out.exists()
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train"])  # --out missing

@@ -32,6 +32,12 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
     )
 
 
+def packet_bits(pkt, n, k) -> tuple[int, int]:
+    """(code bits, residual bits) of one packet, from the batch count."""
+    (code,), (res,) = codec.packets_size_bits(pkt, n, k)
+    return int(code), int(res)
+
+
 def stream_prefixes(data: bytes) -> list[int]:
     """The u32 length prefixes of a packet stream, walked by their low 31 bits."""
     prefixes, offset = [], 0
@@ -52,7 +58,7 @@ class TestCompressDecompress:
         p = np.arange(8.0)
         pkt = codec.compress(p, model, 1e12)
         assert pkt.eps.count == 0
-        bc, br = codec.packet_size_bits(pkt, 8, 3)
+        bc, br = packet_bits(pkt, 8, 3)
         assert bc == 32 * 3 + 32
         assert br == 8
 
@@ -152,7 +158,7 @@ class TestCompressDecompress:
             b1, b2 = sorted(rng.uniform(0.01, 3.0, 2))
             pk1 = codec.compress(p, model, b1)
             pk2 = codec.compress(p, model, b2)
-            assert sum(codec.packet_size_bits(pk1, 8, 3)) >= sum(codec.packet_size_bits(pk2, 8, 3))
+            assert sum(packet_bits(pk1, 8, 3)) >= sum(packet_bits(pk2, 8, 3))
 
 
 class TestOnePacket:
@@ -163,21 +169,19 @@ class TestOnePacket:
         p = np.random.default_rng(13).normal(0, 3, 8)
         pkt = codec.compress(p, model, bound)
         assert isinstance(pkt, codec.Packets) and len(pkt) == 1
-        (row,) = codec.compress_batch(p[None], model, bound)
-        assert pkt == row == codec.compress_batch(p[None], model, bound)
+        assert pkt == codec.compress_batch(p[None], model, bound)
 
     @pytest.mark.parametrize("bound", [0.0, 0.2])
     def test_serialize_roundtrip_of_rows(self, model, bound):
-        packets = codec.compress_batch(np.random.default_rng(14).normal(0, 3, (20, 8)), model, bound)
-        for row in packets:
-            back = codec.deserialize_packet(codec.serialize_packet(row, 8, 3), 8, 3, wide_residuals=bound == 0)
+        for p in np.random.default_rng(14).normal(0, 3, (20, 8)):
+            row = codec.compress(p, model, bound)
+            back = codec.deserialize_packet(codec.serialize_packet(row, 8, 3), 8, 3)
             assert isinstance(back, codec.Packets) and back == row
 
     @pytest.mark.parametrize("call", [
         lambda pkt, model: codec.decompress(pkt, model),
         lambda pkt, model: codec.serialize_packet(pkt, 8, 3),
-        lambda pkt, model: codec.packet_size_bits(pkt, 8, 3),
-    ], ids=["decompress", "serialize_packet", "packet_size_bits"])
+    ], ids=["decompress", "serialize_packet"])
     def test_two_rows_rejected(self, model, call):
         two = codec.compress_batch(np.random.default_rng(15).normal(0, 3, (2, 8)), model, 0.1)
         with pytest.raises(ValueError, match="expected one packet, got 2"):
@@ -188,6 +192,14 @@ class TestOnePacket:
             return codec.Packets(y=np.empty((0, k)), m=[], eps=ResidualCode(np.zeros(0, bool), np.zeros(0, np.float32)))
         assert empty(3) == empty(3)
         assert empty(3) != empty(4)
+
+    def test_equality_ignores_the_width_of_no_patches(self):
+        pkt = random_packet(np.random.default_rng(17), 8, 3, n_resid=0)
+        wide = codec.Packets(y=pkt.y, m=pkt.m, eps=ResidualCode(pkt.eps.indicator, np.zeros(0)))
+        assert pkt == wide
+        patched = random_packet(np.random.default_rng(17), 8, 3, n_resid=2)
+        assert patched != codec.Packets(y=patched.y, m=patched.m, eps=ResidualCode(
+            patched.eps.indicator, patched.eps.values.astype(np.float64)))
 
 
 class TestSerialization:
@@ -226,8 +238,40 @@ class TestSerialization:
             eps=ResidualCode(indicator=indicator, values=np.array([0.1, -0.3])),
         )
         blob = codec.serialize_packet(pkt, 3, 1)
-        back = codec.deserialize_packet(blob, 3, 1, wide_residuals=True)
+        back = codec.deserialize_packet(blob, 3, 1)
         assert back == pkt
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 10), wide=st.booleans(),
+           no_patches=st.booleans())
+    def test_either_width_roundtrips_with_no_width_given(self, seed, n, k, wide, no_patches):
+        rng = np.random.default_rng(seed)
+        pkt = random_packet(rng, n, k, n_resid=0 if no_patches else None, wide=wide)
+        blob = codec.serialize_packet(pkt, n, k)
+        assert codec.deserialize_packet(blob, n, k) == pkt
+
+    def test_bound_below_float32_resolution_lone_packet(self):
+        """At 1e-9 on readings near 15 the packet carries float64 readings; its length says so."""
+        model = ae.init_params(16, 4, seed=0, sigma=SpheringScale(1.0))
+        p = 15.0 + np.random.default_rng(18).normal(0, 0.5, 16)
+        pkt = codec.compress(p, model, 1e-9)
+        assert pkt.eps.values.dtype == np.float64 and pkt.eps.count > 0
+        back = codec.deserialize_packet(codec.serialize_packet(pkt, 16, 4), 16, 4)
+        assert back == pkt
+        assert np.max(np.abs(codec.decompress(back, model) - p)) <= 1e-9
+
+    def test_nonzero_indicator_padding_rejected(self, tmp_path):
+        # n=12, k=4: 16 code bytes, 4 mean bytes, 2 indicator bytes whose top 4 bits are padding
+        pkt = random_packet(np.random.default_rng(19), 12, 4, n_resid=0)
+        blob = bytearray(codec.serialize_packet(pkt, 12, 4))
+        assert len(blob) == 22
+        blob[-1] |= 0xF0
+        with pytest.raises(FormatError, match=r"^packet 0: indicator padding bits"):
+            codec.deserialize_packet(bytes(blob), 12, 4)
+        path = tmp_path / "packets.bin"
+        path.write_bytes(stream_of([codec.serialize_packet(pkt, 12, 4), bytes(blob)]))
+        with pytest.raises(FormatError, match=r"^packet 1: indicator padding bits"):
+            codec.read_packet_stream(path, 12, 4)
 
     def test_bits_match_serialized_length(self):
         rng = np.random.default_rng(8)
@@ -235,7 +279,7 @@ class TestSerialization:
             n = int(rng.integers(1, 33))
             k = int(rng.integers(1, 6))
             pkt = random_packet(rng, n, k)
-            bc, br = codec.packet_size_bits(pkt, n, k)
+            bc, br = packet_bits(pkt, n, k)
             padding = 8 * ((n + 7) // 8) - n
             assert bc + br == 8 * len(codec.serialize_packet(pkt, n, k)) - padding
 
@@ -244,9 +288,9 @@ class TestPacketSizeBits:
     def test_arithmetic(self):
         rng = np.random.default_rng(9)
         pkt = random_packet(rng, 23, 4, n_resid=0)
-        assert codec.packet_size_bits(pkt, 23, 4) == (160, 23)
+        assert packet_bits(pkt, 23, 4) == (160, 23)
         pkt = random_packet(rng, 23, 4, n_resid=1)
-        assert codec.packet_size_bits(pkt, 23, 4) == (160, 55)
+        assert packet_bits(pkt, 23, 4) == (160, 55)
 
 
 class TestModelFile:
@@ -345,12 +389,12 @@ class TestLossless:
         decoded = codec.decompress_batch(back, wide_model)
         assert np.array_equal(decoded.view(np.uint64), windows.view(np.uint64))
         blob = codec.serialize_packet(codec.compress(windows[0], wide_model, 0.0), 16, 4)
-        one = codec.deserialize_packet(blob, 16, 4, wide_residuals=True)
+        one = codec.deserialize_packet(blob, 16, 4)
         assert np.array_equal(codec.decompress(one, wide_model), windows[0])
 
     def test_unflagged_lossless_stream_rejected(self, tmp_path, windows, wide_model):
         # the layout before the length prefix carried the width: 8-byte patches, no flag
-        blobs = [codec.serialize_packet(pkt, 16, 4) for pkt in codec.compress_batch(windows[:5], wide_model, 0.0)]
+        blobs = [codec.serialize_packet(codec.compress(p, wide_model, 0.0), 16, 4) for p in windows[:5]]
         path = tmp_path / "packets.bin"
         path.write_bytes(stream_of(blobs))
         with pytest.raises(FormatError, match=r"^packet 0: length \d+ != expected"):
@@ -375,7 +419,7 @@ class TestPacketStream:
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, 8, 3, path)
         back = codec.read_packet_stream(path, 8, 3)
-        assert len(back) == 7 and list(back) == list(packets)
+        assert len(back) == 7 and back == packets
 
     @pytest.mark.parametrize("first_wide", [False, True])
     def test_mixed_widths_name_the_first_that_differs(self, tmp_path, first_wide):
@@ -443,9 +487,8 @@ class TestBatchParity:
         wide = bound == 0.0
 
         packets = codec.compress_batch(P, model, bound)
-        rows = list(packets)
-        assert len(packets) == len(rows) == count
-        assert rows == [codec.compress(p, model, bound) for p in P]
+        rows = [codec.compress(p, model, bound) for p in P]
+        assert len(packets) == count
         assert rows == [reference_compress(p, model, bound, wide) for p in P]
 
         path = tmp_path / "packets.bin"
@@ -465,7 +508,7 @@ class TestBatchParity:
         codec.write_packet_stream(packets, 8, 3, path)
         assert path.read_bytes() == b""
         back = codec.read_packet_stream(path, 8, 3)
-        assert len(back) == 0 and list(back) == []
+        assert len(back) == 0 and back == packets
         assert codec.decompress_batch(back, model).shape == (0, 8)
 
     def test_wrong_width_rejected(self, model):
@@ -479,13 +522,13 @@ class TestFuzz:
     """Arbitrary or corrupted bytes make the readers raise FormatError and nothing else."""
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.binary(max_size=120), n=st.integers(1, 20), k=st.integers(1, 6), wide=st.booleans())
-    def test_deserialize_packet(self, data, n, k, wide):
+    @given(data=st.binary(max_size=120), n=st.integers(1, 20), k=st.integers(1, 6))
+    def test_deserialize_packet(self, data, n, k):
         try:
-            packet = codec.deserialize_packet(data, n, k, wide)
+            packet = codec.deserialize_packet(data, n, k)
         except FormatError:
             return
-        assert len(codec.serialize_packet(packet, n, k)) == len(data)
+        assert codec.serialize_packet(packet, n, k) == data
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.binary(max_size=300), n=st.integers(1, 20), k=st.integers(1, 6))
@@ -497,7 +540,7 @@ class TestFuzz:
         except FormatError:
             return
         codec.write_packet_stream(packets, n, k, path)
-        assert path.stat().st_size == len(data)
+        assert path.read_bytes() == data
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(codec.MODEL_MAGIC.__add__)))
