@@ -1,4 +1,4 @@
-"""Three-layer sigmoid autoencoder: parameters, costs and gradients.
+"""Three-layer sigmoid autoencoder: parameters, their wire code, costs and gradients.
 
 Cost variants:
   AE  - mean squared reconstruction error
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .sphering import SpheringScale
+from .sphering import SpheringScale, denormalize, normalize
 
 VARIANTS = ("ae", "wae", "sae")
 
@@ -56,6 +56,24 @@ class ModelParams:
             raise ValueError(f"b_dec shape {self.b_dec.shape} != ({self.n},)")
         if self.k >= self.n:
             warnings.warn(f"code dimension k={self.k} >= input dimension n={self.n}; no compression")
+
+    @property
+    def code_width(self) -> int:
+        return self.k + 1
+
+    @property
+    def code_bits(self) -> int:
+        return 32 * self.code_width
+
+    def encode(self, P: np.ndarray) -> np.ndarray:
+        """The float32 wire code of each row of a (B, n) batch: y, then the row mean with the bits of `p.mean()`."""
+        y = sigmoid(matvecs(self.w_enc, normalize(P, self.sigma)) + self.b_enc)
+        return np.column_stack([y, np.add.reduce(P, axis=1) / self.n]).astype(np.float32)
+
+    def decode(self, code: np.ndarray) -> np.ndarray:
+        """The (B, n) float64 reconstructions of a wire code, bitwise the same on both sides of the link."""
+        z = sigmoid(matvecs(self.w_dec, code[:, :self.k].astype(np.float64)) + self.b_dec)
+        return denormalize(z, code[:, self.k:].astype(np.float64), self.sigma)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ LTC: greedy piecewise-linear fit with a per-point error corridor.
 Truncated LZW: fixed-point quantization to meet the bound, then classic
 12-bit LZW over the packed bit stream.
 PCA / DCT: linear transform coders keeping k coefficients; they carry no
-native error bound and are wrapped with the residual mechanism by the
-benchmark harness when a bound is required.
+native error bound. Their models are codec transform models, so the codec
+patches them against the decode of their float32 wire code, as the AE.
 """
 
 from __future__ import annotations
@@ -349,8 +349,28 @@ def lzw_code_bits(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class LinearBasisModel:
+    """A PCA basis as a transform model: its wire code is the k coefficients in float32."""
+
     mean: np.ndarray
     components: np.ndarray  # k x n, orthonormal rows
+
+    @property
+    def n(self) -> int:
+        return self.components.shape[1]
+
+    @property
+    def code_width(self) -> int:
+        return self.components.shape[0]
+
+    @property
+    def code_bits(self) -> int:
+        return 32 * self.code_width
+
+    def encode(self, P) -> np.ndarray:
+        return pca_compress(P, self).astype(np.float32)
+
+    def decode(self, code) -> np.ndarray:
+        return pca_decompress(code, self)
 
 
 def pca_fit(training, k: int) -> LinearBasisModel:
@@ -398,25 +418,45 @@ def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.take_along_axis(spectrum, idx, axis=1)
 
 
+@dataclass(frozen=True)
+class DctModel:
+    """The k-coefficient DCT as a transform model: the float32 spectrum, zero off the k kept indices.
+
+    A row is charged k coefficients of 32 bits and ceil(log2 n) index bits each.
+    """
+
+    n: int
+    k: int
+
+    @property
+    def code_width(self) -> int:
+        return self.n
+
+    @property
+    def code_bits(self) -> int:
+        return self.k * (32 + max(1, math.ceil(math.log2(self.n))))
+
+    def encode(self, P) -> np.ndarray:
+        idx, coeffs = dct_compress_batch(P, self.k)
+        code = np.zeros((idx.shape[0], self.n), dtype=np.float32)
+        np.put_along_axis(code, idx, coeffs.astype(np.float32), axis=1)
+        return code
+
+    def decode(self, code) -> np.ndarray:
+        return _scipy_idct(np.asarray(code, dtype=np.float64), norm="ortho", axis=-1)
+
+
 def dct_compress(p, k: int) -> list[tuple[int, float]]:
     """One vector's `dct_compress_batch`, as (index, value) pairs."""
     idx, coeffs = dct_compress_batch(np.asarray(p, dtype=np.float64)[None], k)
     return list(zip(idx[0].tolist(), coeffs[0].tolist()))
 
 
-def dct_decompress_batch(idx, coeffs, n: int) -> np.ndarray:
-    """Inverse DCT of each row's kept coefficients; (B, k) indices and values -> (B, n)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    bad = idx[(idx < 0) | (idx >= n)]
-    if bad.size:
-        raise FormatError(f"coefficient index {bad[0]} out of range [0, {n})")
-    spectrum = np.zeros((idx.shape[0], n))
-    np.put_along_axis(spectrum, idx, np.asarray(coeffs, dtype=np.float64), axis=1)
-    return _scipy_idct(spectrum, norm="ortho", axis=-1)
-
-
 def dct_decompress(pairs, n: int) -> np.ndarray:
-    """One vector's `dct_decompress_batch`, from (index, value) pairs."""
-    idx = np.array([[i for i, _ in pairs]], dtype=np.int64)
-    coeffs = np.array([[c for _, c in pairs]], dtype=np.float64)
-    return dct_decompress_batch(idx, coeffs, n)[0]
+    """Inverse DCT of one vector's kept coefficients, from (index, value) pairs."""
+    spectrum = np.zeros(n)
+    for i, c in pairs:
+        if not 0 <= i < n:
+            raise FormatError(f"coefficient index {i} out of range [0, {n})")
+        spectrum[i] = c
+    return _scipy_idct(spectrum, norm="ortho")

@@ -1,14 +1,16 @@
 """Online compression/decompression pipelines, wire format, model persistence.
 
-A packet carries the hidden code y, the per-vector mean m, and the residual
-code. The encoder forms residuals against the reconstruction computed from
-the *wire-precision* (32-bit) y and m -- exactly what the decoder will see --
-so float quantization of the code can never break the error bound. Patches
-follow `residual`'s rule: a 32-bit residual added to the reconstruction,
-except at bound 0, or where 32 bits cannot hold the bound, where it is the
-64-bit reading itself, written in place of the reconstruction. A stream says
-which: the top bit of each packet's length prefix is set when its patches
-are 64-bit. A lone packet's length says it: 8 bytes per patch, not 4.
+One codec serves every transform model: the autoencoder's `ModelParams` and
+`baselines`' PCA and DCT models. A model has `n`, `code_width`, `code_bits`
+per row, `encode` ((B, n) readings to a float32 wire code) and `decode`
+(wire code to float64 readings). Patches are formed against the decode of
+the wire code -- exactly what the decoder will see -- so quantizing the code
+can never break the error bound. They follow `residual`'s rule: a 32-bit
+residual added to the reconstruction, except at bound 0, or where 32 bits
+cannot hold the bound, where it is the 64-bit reading itself, written in
+place of the reconstruction. The wire layout is the autoencoder's: (n, k)
+give its shape, and the top bit of each packet's length prefix is set when
+its patches are 64-bit. A lone packet's length says it: 8 bytes per patch.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import ModelParams, matvecs, sigmoid
+from .autoencoder import ModelParams, flatten_params, unflatten_params
 from . import residual
 from .errors import FormatError, UnsupportedVersionError
 from .residual import ResidualCode
-from .sphering import SpheringScale, denormalize, normalize
+from .sphering import SpheringScale
 
 MODEL_MAGIC = b"AEB1"
 MODEL_VERSION = 1
@@ -39,7 +41,7 @@ WIDE_FLAG = 1 << 31  # length-prefix bit: this packet's patches are float64 read
 
 @dataclass(frozen=True)
 class Packets:
-    """B compressed vectors as arrays: codes y, means m, one residual code.
+    """B compressed vectors as arrays: the (B, c) float32 wire code, one residual code.
 
     The residual code runs over the B*n readings in row-major order, so its
     values are the per-packet values concatenated. A packet is a one-row
@@ -47,32 +49,28 @@ class Packets:
     patches, their dtype; no patches carry no width.
     """
 
-    y: np.ndarray  # float32, (B, k)
-    m: np.ndarray  # float32, (B,)
+    code: np.ndarray  # float32, (B, c); the autoencoder's is y, then the mean
     eps: ResidualCode
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float32)
-        m = np.asarray(self.m, dtype=np.float32)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "m", m)
-        if y.ndim != 2 or m.shape != y.shape[:1]:
-            raise FormatError(f"codes {y.shape} and means {m.shape} must be (B, k) and (B,)")
+        code = np.asarray(self.code, dtype=np.float32)
+        object.__setattr__(self, "code", code)
+        if code.ndim != 2:
+            raise FormatError(f"code {code.shape} must be (B, c)")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Packets):
             return NotImplemented
         return (
-            self.y.shape == other.y.shape
-            and self.y.tobytes() == other.y.tobytes()
-            and self.m.tobytes() == other.m.tobytes()
+            self.code.shape == other.code.shape
+            and self.code.tobytes() == other.code.tobytes()
             and np.array_equal(self.eps.indicator, other.eps.indicator)
             and self.eps.values.tobytes() == other.eps.values.tobytes()
             and (self.eps.values.dtype == other.eps.values.dtype or not self.eps.values.size)
         )
 
     def __len__(self) -> int:
-        return self.y.shape[0]
+        return self.code.shape[0]
 
 
 def _check_one(packet: Packets) -> None:
@@ -80,23 +78,13 @@ def _check_one(packet: Packets) -> None:
         raise ValueError(f"expected one packet, got {len(packet)}; use the batch functions")
 
 
-def _wire_reconstruction(y32: np.ndarray, m32: np.ndarray, model: ModelParams) -> np.ndarray:
-    """Reconstructions (B, n) from wire-precision codes (B, k) and means (B,), in float64.
-
-    Bitwise identical on both sides of the link because the inputs are the
-    quantized values and the computation order is fixed.
-    """
-    z = sigmoid(matvecs(model.w_dec, y32.astype(np.float64)) + model.b_dec)
-    return denormalize(z, m32.astype(np.float64)[:, None], model.sigma)
-
-
-def compress_batch(P, model: ModelParams, bound: float) -> Packets:
-    """Encode each row of a (B, n) batch into a packet honoring the error bound.
+def compress_batch(P, model, bound: float) -> Packets:
+    """Encode each row of a (B, n) batch with a transform model into packets honoring the error bound.
 
     Row i is bit-identical to `compress(P[i])`. The patches are
-    `residual.patches`: float32 residuals at a positive bound that float32
-    can hold, else float64 readings for the whole batch, so every
-    nonnegative bound holds.
+    `residual.patches` against `model.decode` of the wire code: float32
+    residuals at a positive bound that float32 can hold, else float64
+    readings for the whole batch, so every nonnegative bound holds.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -105,11 +93,8 @@ def compress_batch(P, model: ModelParams, bound: float) -> Packets:
         raise ValueError("input contains non-finite entries")
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
-
-    m32 = (np.add.reduce(P, axis=1) / model.n).astype(np.float32)  # the bits of `p.mean()`
-    y32 = sigmoid(matvecs(model.w_enc, normalize(P, model.sigma)) + model.b_enc).astype(np.float32)
-    eps = residual.patches(P, _wire_reconstruction(y32, m32, model), bound)
-    return Packets(y=y32, m=m32, eps=eps)
+    code = model.encode(P)
+    return Packets(code=code, eps=residual.patches(P, model.decode(code), bound))
 
 
 def compress(p, model: ModelParams, bound: float) -> Packets:
@@ -120,19 +105,19 @@ def compress(p, model: ModelParams, bound: float) -> Packets:
     return compress_batch(p[None], model, bound)
 
 
-def _check_shapes(packets: Packets, n: int, k: int) -> None:
-    if packets.y.shape[1] != k:
-        raise FormatError(f"code length {packets.y.shape[1]} != model k {k}")
+def _check_shapes(packets: Packets, n: int, width: int) -> None:
+    if packets.code.shape[1] != width:
+        raise FormatError(f"code width {packets.code.shape[1]} != model code width {width}")
     if packets.eps.indicator.shape[0] != len(packets) * n:
         raise FormatError(
             f"indicator length {packets.eps.indicator.shape[0]} != {len(packets)} packets x model n {n}"
         )
 
 
-def decompress_batch(packets: Packets, model: ModelParams) -> np.ndarray:
-    """Decode B packets back to a (B, n) array of readings."""
-    _check_shapes(packets, model.n, model.k)
-    return residual.apply(packets.eps, _wire_reconstruction(packets.y, packets.m, model))
+def decompress_batch(packets: Packets, model) -> np.ndarray:
+    """Decode B packets back to a (B, n) array of readings with their transform model."""
+    _check_shapes(packets, model.n, model.code_width)
+    return residual.apply(packets.eps, model.decode(packets.code))
 
 
 def decompress(packet: Packets, model: ModelParams) -> np.ndarray:
@@ -161,7 +146,7 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     prefix's low 31 bits are the body's byte count; its top bit, `WIDE_FLAG`,
     is set for f64 patches.
     """
-    _check_shapes(packets, n, k)
+    _check_shapes(packets, n, k + 1)
     values = packets.eps.values
     if values.dtype not in (np.float32, np.float64):
         raise ValueError(f"patch values must be float32 or float64, got {values.dtype}")
@@ -176,8 +161,7 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     prefixes = lengths + (WIDE_FLAG if value_size == 8 else 0)
     heads = np.concatenate([
         prefixes.astype("<u4")[:, None].view(np.uint8),
-        packets.y.astype("<f4").view(np.uint8),
-        packets.m.astype("<f4")[:, None].view(np.uint8),
+        packets.code.astype("<f4").view(np.uint8),
         np.packbits(indicator, axis=1, bitorder="little"),
     ], axis=1)
     in_head = _head_mask(head, value_bytes)
@@ -237,11 +221,8 @@ def _parse_stream(data: bytes, n: int, k: int) -> Packets:
     if walk_error is not None:
         raise FormatError(walk_error)
     values = stream[~in_head].view("<f8" if wide[:1].any() else "<f4")
-    return Packets(
-        y=heads[:, 4: 4 * k + 4].copy().view("<f4"),
-        m=heads[:, 4 * k + 4: 4 * k + 8].copy().view("<f4")[:, 0],
-        eps=ResidualCode(indicator=indicator.ravel(), values=values),
-    )
+    return Packets(code=heads[:, 4: 4 * k + 8].copy().view("<f4"),
+                   eps=ResidualCode(indicator=indicator.ravel(), values=values))
 
 
 def serialize_packet(packet: Packets, n: int, k: int) -> bytes:
@@ -266,10 +247,10 @@ def deserialize_packet(data: bytes, n: int, k: int) -> Packets:
     return _parse_stream(struct.pack("<I", len(data) | (WIDE_FLAG if wide else 0)) + data, n, k)
 
 
-def packets_size_bits(packets: Packets, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-packet (code bits, residual bits) as two (B,) arrays; the mean is charged to the code side."""
-    _check_shapes(packets, n, k)
-    return np.full(len(packets), 32 * k + 32), residual.row_bits(packets.eps, n)
+def packets_size_bits(packets: Packets, model) -> tuple[np.ndarray, np.ndarray]:
+    """Per-packet (code bits, residual bits) as two (B,) arrays: `model.code_bits`, and the patches' bits."""
+    _check_shapes(packets, model.n, model.code_width)
+    return np.full(len(packets), model.code_bits), residual.row_bits(packets.eps, model.n)
 
 
 def write_packet_stream(packets: Packets, n: int, k: int, path) -> None:
@@ -296,8 +277,7 @@ def save_model(model: ModelParams, bound: float, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (model.w_enc, model.b_enc, model.w_dec, model.b_dec):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(flatten_params(model).astype("<f8").tobytes())  # w_enc, b_enc, w_dec, b_dec
 
 
 def load_model(path) -> tuple[ModelParams, float]:
@@ -316,25 +296,12 @@ def load_model(path) -> tuple[ModelParams, float]:
         raise FormatError(f"model file version {version} != {MODEL_VERSION}")
     if not (np.isfinite(bound) and bound >= 0):
         raise FormatError(f"model default bound must be nonnegative and finite, got {bound}")
-    counts = [k * n, k, n * k, n]
-    expected = head_size + 8 * sum(counts)
+    expected = head_size + 8 * (2 * k * n + k + n)
     if len(data) != expected:
         raise FormatError(f"model file length {len(data)} != expected {expected}")
-    arrays = []
-    offset = head_size
-    for count in counts:
-        arrays.append(np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy())
-        offset += 8 * count
     try:  # a bad sigma, non-finite weights or n = 0 / k = 0
-        model = ModelParams(
-            w_enc=arrays[0].reshape(k, n),
-            b_enc=arrays[1],
-            w_dec=arrays[2].reshape(n, k),
-            b_dec=arrays[3],
-            n=n,
-            k=k,
-            sigma=SpheringScale(sigma),
-        )
+        params = np.frombuffer(data, dtype="<f8", offset=head_size).astype(np.float64)
+        model = unflatten_params(params, n, k, SpheringScale(sigma))
     except ValueError as exc:
         raise FormatError(f"bad model file: {exc}") from exc
     return model, bound

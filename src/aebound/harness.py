@@ -4,8 +4,9 @@ Every method runs through one cell loop. A cell (method, k, fold rotation,
 repetition) builds the method's round trip once, training an autoencoder or
 fitting PCA on the training rows, and evaluates it at every error bound, so
 compression-ratio curves over bounds share the same weights. Each evaluation
-is one call over the cell's whole (B, n) test matrix, baselines included;
-LTC and truncated LZW still write one bitstream per window. Only autoencoder
+is one call over the cell's whole (B, n) test matrix: the AE variants, PCA
+and DCT are transform models sent through the codec's packets, and LTC and
+truncated LZW write one bitstream per window. Only autoencoder
 cells repeat: baselines have no init randomness. Rows aggregate bits across
 all cells, so the reported CR is recomputable from the bit columns exactly.
 A failure is kept per (method label, bound): a bound whose evaluation raises
@@ -15,6 +16,7 @@ bound of its label.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
-from . import baselines, codec, dataset, metrics, residual, svgplot
+from . import baselines, codec, dataset, metrics, svgplot
 from .autoencoder import VARIANTS, CostConfig
 from .errors import FormatError
 from .optimizer import LbfgsOptions, train
@@ -91,6 +93,10 @@ class BenchmarkConfig:
         for b in self.bounds:
             if not b >= 0:  # also rejects NaN
                 raise ValueError(f"bounds must be nonnegative, got {b}")
+        for name in ("k_list", "bounds", "variants", "baseline_methods"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):  # a repeat would run its cells twice into one row
+                raise ValueError(f"{name} has repeated entries: {entries}")
         if not 0 <= self.noise_sd < math.inf:  # also rejects NaN
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         for name, low, what in (("period_range", 0.0, "two finite periods 0 < lo <= hi"),
@@ -175,12 +181,6 @@ class _CellResult:
         )
 
 
-def _patched(P, recon, bound, bits_code):
-    """A transform coder's reconstructions, patched and charged by the codec's residual rule."""
-    code = residual.patches(P, recon, bound)
-    return residual.apply(code, recon), np.full(P.shape[0], bits_code), residual.row_bits(code, P.shape[1])
-
-
 def _ltc(P, bound):
     knots, _, Q = baselines.ltc_compress_batch(P, bound)  # Q is the decode it checked
     return Q, baselines.ltc_bits_batch(knots), np.zeros(len(P), dtype=np.int64)
@@ -192,56 +192,36 @@ def _lzw(P, bound):
     return baselines.lzw_truncated_decompress_batch(blobs, P.shape[1]), bits_code, np.zeros(len(P), dtype=np.int64)
 
 
-def _pca(train_X, k):
-    basis = baselines.pca_fit(train_X, k)
-
-    def round_trip(P, bound):
-        recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
-        return _patched(P, recon, bound, 32 * k)
-
-    return round_trip
-
-
-def _dct(train_X, k):
-    n = train_X.shape[1]
-    idx_bits = max(1, math.ceil(math.log2(n)))
-
-    def round_trip(P, bound):
-        recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
-        return _patched(P, recon, bound, k * (32 + idx_bits))
-
-    return round_trip
-
-
-# baseline -> (training rows, k) -> batch round trip over the whole test matrix;
-# LTC and truncated LZW still write one bitstream per window
-_BASELINES = {"ltc": lambda train_X, k: _ltc, "lzw": lambda train_X, k: _lzw, "pca": _pca, "dct": _dct}
-
-
 def _round_trip(method, train_X, k, cfg: BenchmarkConfig, seed):
     """The method's batch round trip `(P, bound) -> (Q, bits_code[B], bits_residual[B])`.
 
-    It is built from the training rows: an AE variant trains its model there
-    from `seed` and goes through packets; PCA fits its basis there.
+    LTC and truncated LZW write one bitstream per window. The rest are transform models, built on the
+    training rows (an AE variant trains there from `seed`, PCA fits there), that go through the codec.
     """
-    if method not in VARIANTS:
-        return _BASELINES[method](train_X, k)
-    model, _ = train(train_X, train_X.shape[1], k, cfg.cost(method), cfg.optimizer, seed)
+    if method in ("ltc", "lzw"):
+        return _ltc if method == "ltc" else _lzw
+    if method == "pca":
+        model = baselines.pca_fit(train_X, k)
+    elif method == "dct":
+        model = baselines.DctModel(train_X.shape[1], k)
+    else:
+        model, _ = train(train_X, train_X.shape[1], k, cfg.cost(method), cfg.optimizer, seed)
 
     def round_trip(P, bound):
         packets = codec.compress_batch(P, model, bound)
-        return (codec.decompress_batch(packets, model), *codec.packets_size_bits(packets, model.n, model.k))
+        return (codec.decompress_batch(packets, model), *codec.packets_size_bits(packets, model))
 
     return round_trip
 
 
-def _eval_cell(round_trip, test_X, bounds):
-    """Tally `round_trip(P, bound) -> (Q, bits_code[B], bits_residual[B])` over the test rows, per bound.
+def _eval_cell(method, train_X, test_X, k, cfg: BenchmarkConfig, seed):
+    """Build the method's round trip on the training rows and tally it over the test rows, per bound.
 
     A bound whose round trip raises maps to its exception, and the other bounds still run.
     """
+    round_trip = _round_trip(method, train_X, k, cfg, seed)
     out = {}
-    for bound in bounds:
+    for bound in cfg.bounds:
         t0 = time.perf_counter()
         try:
             out[bound] = _CellResult.of_batch(test_X, *round_trip(test_X, bound))
@@ -271,14 +251,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[metrics.EvalRow]:
                 label = f"{method.upper()}(k={k})" if k else method.upper()
                 for rep in range(cfg.repetitions if method in VARIANTS else 1):
                     seed = _cell_seed(cfg.seed, mi, k, fold, rep)
-                    tasks.append(
-                        (
-                            label,
-                            lambda m=method, kk=k, tx=train_X, sx=test_X, s=seed: _eval_cell(
-                                _round_trip(m, tx, kk, cfg, s), sx, cfg.bounds
-                            ),
-                        )
-                    )
+                    tasks.append((label, functools.partial(_eval_cell, method, train_X, test_X, k, cfg, seed)))
 
     with ThreadPoolExecutor(max_workers=int(threads)) as pool:  # map keeps task order, whatever the count
         outcomes = list(pool.map(_run_cell, [fn for _, fn in tasks]))

@@ -2,8 +2,8 @@
 
 Reconstruction errors whose magnitude exceeds the configured bound are
 transmitted alongside an indicator bitmap; patching them back in on the
-receiver caps the per-index error at the bound. This module holds the one
-patch rule that the AE codec and the PCA and DCT baselines share: `patches`
+receiver caps the per-index error at the bound. This module holds the
+codec's one patch rule, for every transform model (AE, PCA, DCT): `patches`
 encodes, `apply` decodes and `row_bits` charges. A patch is a float32
 residual added to the reconstruction, or, at bound 0 and wherever float32
 cannot hold the bound, the float64 reading itself, written in its place:

@@ -335,6 +335,7 @@ class TestConfigKeys:
             ("bench", ["--set", "folds", "1"], "folds"),
             ("bench", ["--set", "variants", "bogus"], "variants"),
             ("bench", ["--set", "k", "abc"], "k_list"),
+            ("bench", ["--set", "k", "3,3"], "k_list has repeated entries"),
             ("bench", ["--set", "max_iters", "0"], "max_iters"),
             ("bench", ["--set", "bounds", "-1"], "bounds"),
             ("bench", ["--set", "stride", "2"], "stride"),  # windows never overlap; no such key
@@ -353,8 +354,8 @@ class TestConfigKeys:
             ("compress", ["--bound", "nan"], "--bound"),
             ("compress", ["--bound", "-1"], "--bound"),
         ],
-        ids=["mode", "fold_rotations", "folds", "variants", "k", "max_iters", "bounds", "stride",
-             "dataset", "rho", "beta", "beta-nan", "eta", "window", "sensors", "steps",
+        ids=["mode", "fold_rotations", "folds", "variants", "k", "k-repeated", "max_iters", "bounds",
+             "stride", "dataset", "rho", "beta", "beta-nan", "eta", "window", "sensors", "steps",
              "noise_sd", "period_range-one", "period_range-zero", "amp_range-reversed",
              "bound-nan", "bound-negative"],
     )

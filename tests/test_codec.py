@@ -1,13 +1,14 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aebound import autoencoder as ae, codec, dataset
+from aebound import autoencoder as ae, baselines, codec, dataset
 from aebound.errors import FormatError, UnsupportedVersionError
-from aebound.residual import ResidualCode, residual_decode
-from aebound.sphering import SpheringScale, normalize
+from aebound.residual import ResidualCode, patches, residual_decode
+from aebound.sphering import SpheringScale, estimate_sigma, normalize
 
 
 @pytest.fixture
@@ -25,16 +26,15 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
     indicator = np.zeros(n, dtype=bool)
     indicator[rng.choice(n, size=n_resid, replace=False)] = True
     return codec.Packets(
-        y=rng.uniform(0, 1, (1, k)).astype(np.float32),
-        m=[np.float32(rng.normal())],
+        code=np.column_stack([rng.uniform(0, 1, (1, k)), [rng.normal()]]),
         eps=ResidualCode(indicator=indicator,
                          values=rng.normal(size=n_resid).astype(np.float64 if wide else np.float32)),
     )
 
 
 def packet_bits(pkt, n, k) -> tuple[int, int]:
-    """(code bits, residual bits) of one packet, from the batch count."""
-    (code,), (res,) = codec.packets_size_bits(pkt, n, k)
+    """(code bits, residual bits) of one AE packet, from the batch count."""
+    (code,), (res,) = codec.packets_size_bits(pkt, SimpleNamespace(n=n, code_width=k + 1, code_bits=32 * (k + 1)))
     return int(code), int(res)
 
 
@@ -93,8 +93,8 @@ class TestCompressDecompress:
         p = np.linspace(0, 7, 8)
         pkt = codec.compress(p, model, 1e12)
         q = codec.decompress(pkt, model)
-        z = ae.sigmoid(model.w_dec @ pkt.y[0].astype(np.float64) + model.b_dec)
-        expected = (3 * model.sigma.sigma / 0.4) * (z - 0.5) + float(pkt.m[0])
+        z = ae.sigmoid(model.w_dec @ pkt.code[0, :3].astype(np.float64) + model.b_dec)
+        expected = (3 * model.sigma.sigma / 0.4) * (z - 0.5) + float(pkt.code[0, 3])
         np.testing.assert_array_equal(q, expected)
 
     def test_hand_built_packet(self):
@@ -103,8 +103,7 @@ class TestCompressDecompress:
             b_dec=np.zeros(2), n=2, k=1, sigma=SpheringScale(1.0),
         )
         pkt = codec.Packets(
-            y=np.array([[0.7]], dtype=np.float32),
-            m=[np.float32(5.0)],
+            code=np.array([[0.7, 5.0]], dtype=np.float32),
             eps=ResidualCode(indicator=np.array([False, True]), values=np.array([0.3], dtype=np.float32)),
         )
         q = codec.decompress(pkt, m2)
@@ -117,7 +116,7 @@ class TestCompressDecompress:
         with pytest.raises(ValueError):
             codec.compress(np.array([np.nan] * 8), model, 0.1)
         pkt = codec.compress(np.zeros(8) + 1.0, model, 0.1)
-        bad = codec.Packets(y=pkt.y[:, :2], m=pkt.m, eps=pkt.eps)
+        bad = codec.Packets(code=pkt.code[:, 1:], eps=pkt.eps)
         with pytest.raises(FormatError):
             codec.decompress(bad, model)
 
@@ -189,16 +188,16 @@ class TestOnePacket:
 
     def test_equality_compares_shapes(self):
         def empty(k):
-            return codec.Packets(y=np.empty((0, k)), m=[], eps=ResidualCode(np.zeros(0, bool), np.zeros(0, np.float32)))
+            return codec.Packets(code=np.empty((0, k + 1)), eps=ResidualCode(np.zeros(0, bool), np.zeros(0, np.float32)))
         assert empty(3) == empty(3)
         assert empty(3) != empty(4)
 
     def test_equality_ignores_the_width_of_no_patches(self):
         pkt = random_packet(np.random.default_rng(17), 8, 3, n_resid=0)
-        wide = codec.Packets(y=pkt.y, m=pkt.m, eps=ResidualCode(pkt.eps.indicator, np.zeros(0)))
+        wide = codec.Packets(code=pkt.code, eps=ResidualCode(pkt.eps.indicator, np.zeros(0)))
         assert pkt == wide
         patched = random_packet(np.random.default_rng(17), 8, 3, n_resid=2)
-        assert patched != codec.Packets(y=patched.y, m=patched.m, eps=ResidualCode(
+        assert patched != codec.Packets(code=patched.code, eps=ResidualCode(
             patched.eps.indicator, patched.eps.values.astype(np.float64)))
 
 
@@ -234,7 +233,7 @@ class TestSerialization:
     def test_wide_residual_roundtrip(self):
         indicator = np.array([True, False, True])
         pkt = codec.Packets(
-            y=np.array([[0.25]], dtype=np.float32), m=[np.float32(1.5)],
+            code=np.array([[0.25, 1.5]], dtype=np.float32),
             eps=ResidualCode(indicator=indicator, values=np.array([0.1, -0.3])),
         )
         blob = codec.serialize_packet(pkt, 3, 1)
@@ -402,7 +401,7 @@ class TestLossless:
 
     def test_writers_reject_other_widths(self, tmp_path):
         pkt = random_packet(np.random.default_rng(12), 8, 3, n_resid=2)
-        half = codec.Packets(y=pkt.y, m=pkt.m,
+        half = codec.Packets(code=pkt.code,
                              eps=ResidualCode(pkt.eps.indicator, pkt.eps.values.astype(np.float16)))
         with pytest.raises(ValueError, match="float32 or float64"):
             codec.serialize_packet(half, 8, 3)
@@ -453,7 +452,7 @@ def reference_compress(p, model, bound, wide):
         values = p[indicator]
     else:
         values = (p - q)[indicator].astype(np.float32)
-    return codec.Packets(y=y32[None], m=[m32], eps=ResidualCode(indicator=indicator, values=values))
+    return codec.Packets(code=[[*y32, m32]], eps=ResidualCode(indicator=indicator, values=values))
 
 
 def reference_reconstruction(y32, m32, model):
@@ -463,7 +462,7 @@ def reference_reconstruction(y32, m32, model):
 
 def reference_decompress(pkt, model):
     """The per-vector decoder: 64-bit patches replace readings, 32-bit ones add to them."""
-    q = reference_reconstruction(pkt.y[0], pkt.m[0], model)
+    q = reference_reconstruction(pkt.code[0, :-1], pkt.code[0, -1], model)
     if pkt.eps.values.dtype == np.float64:
         q[pkt.eps.indicator] = pkt.eps.values
         return q
@@ -516,6 +515,34 @@ class TestBatchParity:
             codec.compress_batch(np.zeros((4, 7)), model, 0.1)
         with pytest.raises(ValueError, match="input shape"):
             codec.compress_batch(np.zeros(8), model, 0.1)
+
+
+class TestTransformModels:
+    """The AE, PCA and DCT go through one codec, patched against the decode of their float32 wire code."""
+
+    N, K = 16, 4
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        X = dataset.make_windows(dataset.synth_dataset(6, 3000, seed=3), "temporal", self.N)
+        return X[:600], X[600:]
+
+    @pytest.mark.parametrize("bound", [0.0, 1e-9, 1e-6, 0.02, 0.1])
+    @pytest.mark.parametrize("method, code_bits", [("ae", 32 * (K + 1)), ("pca", 32 * K), ("dct", K * (32 + 4))])
+    def test_decoder_holding_only_the_wire_code_meets_the_bound(self, windows, method, code_bits, bound):
+        train_X, P = windows
+        model = {
+            "ae": lambda: ae.init_params(self.N, self.K, seed=0, sigma=estimate_sigma(train_X)),
+            "pca": lambda: baselines.pca_fit(train_X, self.K),
+            "dct": lambda: baselines.DctModel(self.N, self.K),
+        }[method]()
+        packets = codec.compress_batch(P, model, bound)
+        received = codec.Packets(code=packets.code.copy(),
+                                 eps=ResidualCode(packets.eps.indicator.copy(), packets.eps.values.copy()))
+        assert np.max(np.abs(codec.decompress_batch(received, model) - P)) <= bound
+        assert received == codec.Packets(code=received.code, eps=patches(P, model.decode(received.code), bound))
+        bits_code, _ = codec.packets_size_bits(received, model)
+        assert bits_code.tolist() == [code_bits] * len(P)
 
 
 class TestFuzz:

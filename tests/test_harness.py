@@ -32,7 +32,7 @@ class TestGoldenReport:
         rows = harness.run_benchmark(GOLDEN_CONFIG)
         assert all(r.status == "ok" for r in rows)
         harness.write_report(rows, GOLDEN_CONFIG, tmp_path)
-        assert _report_digest(tmp_path / "report.csv") == "b61aaa9ccc86fe03fada9a29f7043848c73233c2b432f6b513adf10b1af168a8"
+        assert _report_digest(tmp_path / "report.csv") == "5629928f67a48f4db4a68348816c60998f1e705a0ff7272a126e6618b12434df"
 
 
 class TestConfigValidation:
@@ -42,8 +42,9 @@ class TestConfigValidation:
             (dict(variants=(), baseline_methods=()), "no method to run"),
             (dict(fold_rotations=0), "fold_rotations must be >= 1"),
             (dict(k_list=(3, 0)), "k_list entries must be >= 1"),
+            (dict(variants=("ae", "ae")), r"variants has repeated entries: \('ae', 'ae'\)"),
         ],
-        ids=["no-method", "no-fold-rotation", "k-0"],
+        ids=["no-method", "no-fold-rotation", "k-0", "repeated-variant"],
     )
     def test_config_that_sweeps_nothing_is_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -145,9 +146,10 @@ class TestLosslessTransformCells:
         k, n = GOLDEN_CONFIG.k_list[0], P.shape[1]
         if method == "pca":
             basis = baselines.pca_fit(train_X, k)
-            recon = baselines.pca_decompress(baselines.pca_compress(P, basis), basis)
+            recon = baselines.pca_decompress(baselines.pca_compress(P, basis).astype(np.float32), basis)
         else:
-            recon = baselines.dct_decompress_batch(*baselines.dct_compress_batch(P, k), n)
+            recon = np.array([baselines.dct_decompress([(i, np.float32(c)) for i, c in baselines.dct_compress(p, k)], n)
+                              for p in P])
         Q, _, bits_residual = harness._round_trip(method, train_X, k, GOLDEN_CONFIG, 0)(P, 0.0)
         assert Q.tobytes() == P.tobytes()
         np.testing.assert_array_equal(bits_residual, n + 64 * np.count_nonzero(recon != P, axis=1))
