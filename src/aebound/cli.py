@@ -18,6 +18,17 @@ class UsageError(Exception):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
+def _say(text: str) -> None:
+    """Print a line to stdout at once. If its reader has gone (EPIPE, as under `| head -1`),
+    stdout becomes /dev/null: the command runs to its end and exits with its own status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 _ALIASES = {"k": "k_list", "baselines": "baseline_methods", "csv": "csv_path"}
 # config key -> type of the LbfgsOptions or BenchmarkConfig field it sets
 _OPTIMIZER_FIELDS = typing.get_type_hints(LbfgsOptions)
@@ -86,13 +97,13 @@ def cmd_train(args) -> int:
     n = windows.shape[1]
     model, trace = train_model(windows, n, k, cfg.cost(variant), cfg.optimizer, cfg.seed)
     codec.save_model(model, bound, args.out)
-    print(
+    _say(
         f"trained {variant.upper()} n={n} k={k} on {len(windows)} vectors: "
         f"{trace.iterations} iterations, cost {trace.cost_history[0]:.6g} -> "
         f"{trace.cost_history[-1]:.6g}, grad norm {trace.final_grad_norm:.3g}, "
         f"stop={trace.stop_reason}"
     )
-    print(f"model written to {args.out}")
+    _say(f"model written to {args.out}")
     return 0
 
 
@@ -116,11 +127,11 @@ def cmd_compress(args) -> int:
             print(f"VERIFY FAILED: {len(decoded)} packets read back for {len(windows)} windows, "
                   f"max error {worst} (bound {bound})", file=sys.stderr)
             return 1
-        print(f"verify ok: max reconstruction error {worst:.6g} <= bound {bound}")
-    print(f"patched {packets.eps.indicator.mean():.2%} of {windows.size} readings, "
-          f"{8 * os.path.getsize(args.out) / windows.size:.3f} bits per reading written")
-    print(f"left out {left_out} of {windows.size + left_out} readings: no window of {model.n} holds them")
-    print(f"wrote {len(packets)} packets to {args.out}")
+        _say(f"verify ok: max reconstruction error {worst:.6g} <= bound {bound}")
+    _say(f"patched {packets.eps.indicator.mean():.2%} of {windows.size} readings, "
+         f"{8 * os.path.getsize(args.out) / windows.size:.3f} bits per reading written")
+    _say(f"left out {left_out} of {windows.size + left_out} readings: no window of {model.n} holds them")
+    _say(f"wrote {len(packets)} packets to {args.out}")
     return 0
 
 
@@ -137,7 +148,7 @@ def cmd_decompress(args) -> int:
             rows = recon[start:start + _CSV_BLOCK_ROWS].tolist()
             # repr keeps every float64 exact
             fh.writelines(f"{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows, start))
-    print(f"decompressed {len(packets)} packets to {args.out}")
+    _say(f"decompressed {len(packets)} packets to {args.out}")
     return 0
 
 
@@ -145,7 +156,7 @@ def cmd_bench(args) -> int:
     cfg = build_config(args)
     rows = harness.run_benchmark(cfg)
     harness.write_report(rows, cfg, args.out)
-    print(f"wrote {len(rows)} rows to {os.path.join(args.out, 'report.csv')}")
+    _say(f"wrote {len(rows)} rows to {os.path.join(args.out, 'report.csv')}")
     n_bad = sum(1 for r in rows if r.status != "ok")
     if n_bad:
         print(f"error: {n_bad} of {len(rows)} rows failed or partial; see the status column", file=sys.stderr)
@@ -155,7 +166,7 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     harness.write_plots(harness.read_report(args.report_dir), args.report_dir)
-    print(f"plots written to {args.report_dir}")
+    _say(f"plots written to {args.report_dir}")
     return 0
 
 

@@ -35,7 +35,10 @@ from .residual import ResidualCode
 from .sphering import SpheringScale
 
 MODEL_MAGIC = b"AEB1"
-MODEL_VERSION = 1
+# 2: the decoder's sigmoid is `autoencoder.sigmoid`'s, whose bits differ from
+# version 1's (libm `exp`) by up to 2 ulps, so a version 1 model would not
+# decode its streams bit for bit
+MODEL_VERSION = 2
 WIDE_FLAG = 1 << 31  # length-prefix bit: this packet's patches are float64 readings
 
 
@@ -292,6 +295,9 @@ def load_model(path) -> tuple[ModelParams, float]:
     version, n, k, sigma, bound = struct.unpack("<HIIdd", data[4:head_size])
     if version > MODEL_VERSION:
         raise UnsupportedVersionError(f"model file version {version} > supported {MODEL_VERSION}")
+    if version == 1:
+        raise FormatError(f"model file version 1 != {MODEL_VERSION}: its decoder's sigmoid has changed, "
+                          "so it no longer reproduces its streams bit for bit; retrain the model")
     if version != MODEL_VERSION:
         raise FormatError(f"model file version {version} != {MODEL_VERSION}")
     if not (np.isfinite(bound) and bound >= 0):

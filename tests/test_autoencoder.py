@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,9 +23,39 @@ def finite_difference_gradient(theta, X, cfg, h=1e-6):
     return fd
 
 
+def _ulps(a, b) -> np.ndarray:
+    """Distance in units in the last place between nonnegative float64 arrays."""
+    return np.abs(np.asarray(a, np.float64).view(np.int64) - np.asarray(b, np.float64).view(np.int64))
+
+
+def _libm_sigmoid(x: float) -> float:
+    """`1 / (1 + math.exp(-x))`, with exp's overflow taken as inf, as in IEEE arithmetic."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 class TestSigmoid:
     def test_zero(self):
         assert ae.sigmoid(0.0) == 0.5
+        assert ae.sigmoid(-0.0) == 0.5
+        assert ae.sigmoid(np.zeros((2, 3))).tolist() == [[0.5] * 3] * 2
+
+    def test_within_two_ulps_of_libm(self):
+        rng = np.random.default_rng(5)
+        special = [0.0, 1e-300, -1e-300, 709.78, -709.78, 746.0, -746.0, math.inf, -math.inf]
+        x = np.concatenate([rng.uniform(-750.0, 750.0, 100_000), special])
+        got = ae.sigmoid(x)
+        expected = np.array([_libm_sigmoid(v) for v in x.tolist()])
+        assert int(_ulps(got, expected).max()) <= 2
+        assert got[-9:-6].tolist() == [0.5, 0.5, 0.5]
+        assert got[-4:].tolist() == [1.0, 0.0, 1.0, 0.0]  # 746, -746, inf, -inf
+
+    def test_scalar_shape_and_nan(self):
+        assert np.ndim(ae.sigmoid(1.0)) == 0
+        assert ae.sigmoid(np.ones((3, 1, 2))).shape == (3, 1, 2)
+        assert np.isnan(ae.sigmoid(np.nan))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from aebound import baselines, codec, harness, residual
@@ -514,13 +513,15 @@ class TestHarnessBatchParity:
                 recon = basis.mean + basis.components.T @ coeffs.astype(np.float64)
                 return patched(p, recon, bound, 32 * k)
         else:
+            C = baselines.dct_matrix(n)
+
             def one(p, bound):
-                spectrum = scipy.fft.dct(p, norm="ortho")
+                spectrum = C @ p
                 keep = np.zeros(n)
                 for i in np.argsort(-np.abs(spectrum), kind="stable")[:k]:
                     keep[i] = np.float32(spectrum[i])  # the wire precision
                 idx_bits = math.ceil(math.log2(n))
-                return patched(p, scipy.fft.idct(keep, norm="ortho"), bound, k * (32 + idx_bits))
+                return patched(p, C.T @ keep, bound, k * (32 + idx_bits))
         return one
 
     @pytest.mark.parametrize("batch", [1, 7, 115])
@@ -642,6 +643,26 @@ class TestDct:
             scale = math.sqrt(1.0 / n) if j == 0 else math.sqrt(2.0 / n)
             oracle = scale * sum(p[i] * math.cos(math.pi * j * (2 * i + 1) / (2 * n)) for i in range(n))
             assert pairs[j] == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 16, 24, 64, 128])
+    def test_matrix_is_orthonormal_and_matches_cosine_oracle(self, n):
+        C = baselines.dct_matrix(n)
+        assert np.max(np.abs(C @ C.T - np.eye(n))) <= 1e-15
+        oracle = np.array([[math.sqrt((1.0 if f == 0 else 2.0) / n) * math.cos(math.pi * f * (2 * j + 1) / (2 * n))
+                            for j in range(n)] for f in range(n)])
+        assert np.max(np.abs(C - oracle)) <= 1e-14
+        rng = np.random.default_rng(n)
+        P = rng.normal(size=(5, n))
+        idx, coeffs = baselines.dct_compress_batch(P, n)
+        assert (idx == np.arange(n)).all()
+        direct = [[sum(oracle[f, j] * p[j] for j in range(n)) for f in range(n)] for p in P.tolist()]
+        np.testing.assert_allclose(coeffs, direct, rtol=0, atol=1e-13)
+
+    def test_matrix_is_cached_and_read_only(self):
+        C = baselines.dct_matrix(16)
+        assert baselines.dct_matrix(16) is C
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -399,16 +401,73 @@ class TestHarnessFailureHandling:
         assert by_method["PCA"].status.startswith("failed")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_aebound(argv, stdout, unbuffered=True) -> subprocess.CompletedProcess:
+    """`aebound <argv>` in a child process with the given stdout; stderr is captured."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "aebound.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=300)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`aebound ... | head -1`) does not change what the command does."""
+
+    @pytest.fixture
+    def closed_pipe(self):
+        """The write end of a pipe whose read end is already closed: every write to it fails with EPIPE."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        yield write_end
+        os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_compress_runs_to_its_end(self, tmp_path, closed_pipe, unbuffered):
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)
+        packets = tmp_path / "p.bin"
+        child = _run_aebound(["compress", "--model", str(model_path), "--input", str(csv_path), "--verify",
+                              "--out", str(packets)], closed_pipe, unbuffered)
+        assert (child.returncode, child.stderr) == (0, "")
+        model, bound = codec.load_model(model_path)
+        windows = dataset.make_windows(dataset.load_csv(str(csv_path), "t"), "temporal", model.n)
+        decoded = codec.decompress_batch(codec.read_packet_stream(packets, model.n, model.k), model)
+        assert np.max(np.abs(decoded - windows)) <= bound
+
+    def test_bench_keeps_its_exit_status(self, tmp_path, closed_pipe):
+        config = tmp_path / "failing.cfg"  # every PCA cell fails, as in TestBench
+        config.write_text("sensors = 2\nsteps = 60\nwindow = 10\nk = 10\nbounds = 0.5\nvariants =\n"
+                          "baselines = pca, ltc\nfolds = 2\nrepetitions = 1\nnoise_sd = 0\n")
+        child = _run_aebound(["bench", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "report")],
+                             closed_pipe)
+        assert child.returncode == 1
+        assert "1 of 2 rows failed or partial" in child.stderr and "Broken pipe" not in child.stderr
+        assert (tmp_path / "report" / "report.csv").is_file()
+
+
+def test_cli_and_harness_need_numpy_alone():
+    """Beyond what numpy loads itself, importing the CLI and the harness loads only aebound and the standard library."""
+    code = ("import sys, numpy; before = set(sys.modules); import aebound.cli, aebound.harness; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'aebound'}))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])))
+    assert (child.returncode, child.stdout.strip()) == (0, "[]"), child.stderr
+
+
 class TestGoldenOutputs:
     """Pinned sha256 digests of the stream and CSV that `compress`/`decompress` write."""
 
     @pytest.mark.parametrize("mode, default_bound, digests", [
         ("temporal", 0.6, ("abcfada201343e6eb64259f17e6dd69c5004efc5f5aff7e2aa0dc7150f0d104a",
-                           "f0195f2c4f41046279546178286977e1d2902aca4dafa4cb15783a828dae3d9a")),
+                           "da7baf78897ba683d62f8edd7a8e608813ea34b4489293699d69e4ff91d1703c")),
         ("temporal", 0.0, ("5ae97f8c9c375d242291973a8f4a2d3fec73a69f17f2ab02793eeaccb2cc454f",
                            "386158fba45578dd5b975c7043709dca5d19419b8b2f43c3502ef83adb3f1cdc")),
         ("spatial", 0.6, ("d5a775d0ec6898502dae6002e7453d8e00b4db10f7fbf1cb2f1edfee9e204847",
-                          "06d2fc7642a39a65543f7f0ad58b043bc922dca812913ec74d18fea5f8cca571")),
+                          "550c870c571bf6024114172e8c4900b3d397fc8d9223e6d6255cf8d128ef405b")),
     ], ids=["temporal-lossy", "temporal-lossless", "spatial-lossy"])
     def test_output_digests(self, tmp_path, mode, default_bound, digests):
         csv_path, model_path = _seeded_inputs(tmp_path, default_bound)

@@ -1,4 +1,9 @@
+import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,6 +336,18 @@ class TestModelFile:
             codec.load_model(path)
         assert not isinstance(raised.value, UnsupportedVersionError)
 
+    def test_version_one_is_rejected(self, model, tmp_path):
+        """Version 1 models decoded with libm's `exp`; their streams would not decode bit for bit."""
+        path = tmp_path / "model.aeb"
+        codec.save_model(model, 0.1, path)
+        data = bytearray(path.read_bytes())
+        assert data[4:6] == bytes([2, 0])
+        data[4] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="version 1 != 2.*retrain the model") as raised:
+            codec.load_model(path)
+        assert not isinstance(raised.value, UnsupportedVersionError)
+
     def test_truncated_file(self, model, tmp_path):
         path = tmp_path / "model.aeb"
         codec.save_model(model, 0.1, path)
@@ -543,6 +560,51 @@ class TestTransformModels:
         assert received == codec.Packets(code=received.code, eps=patches(P, model.decode(received.code), bound))
         bits_code, _ = codec.packets_size_bits(received, model)
         assert bits_code.tolist() == [code_bits] * len(P)
+
+
+def _host_digests() -> str:
+    """sha256 digests of the sigmoid on seeded draws and of a lossy AE round trip, one per line.
+
+    The inputs are built from normal draws and arithmetic only: numpy's
+    float64 `sin` or `exp` would make the inputs themselves depend on the host.
+    """
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-750.0, 750.0, 50_000), rng.normal(0.0, 4.0, 50_000)])
+    digests = [hashlib.sha256(ae.sigmoid(x).tobytes()).hexdigest()]
+    P = 15.0 + np.cumsum(rng.normal(0.0, 0.3, (2000, 16)), axis=1)
+    model = ae.init_params(16, 4, seed=0, sigma=estimate_sigma(P))
+    for bound in (0.02, 0.1):
+        packets = codec.compress_batch(P, model, bound)
+        h = hashlib.sha256(packets.code.tobytes() + packets.eps.indicator.tobytes() + packets.eps.values.tobytes())
+        h.update(codec.decompress_batch(packets, model).tobytes())
+        digests.append(h.hexdigest())
+    return "\n".join(digests)
+
+
+class TestHostIndependence:
+    # the AVX-512 targets of numpy's float64 `exp`, whose last bit differs from libm's
+    AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+    def test_same_bits_without_avx512(self):
+        """The sigmoid and the lossy codec give the same bits with numpy's AVX-512 kernels turned off.
+
+        Only the names this numpy dispatches are turned off. On a host without
+        AVX-512, or a numpy that names its targets otherwise, nothing is turned
+        off and this test cannot fail; it shows something only where numpy's
+        own `exp` would differ.
+        """
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        dispatched = getattr(umath, "__cpu_dispatch__", ())
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in self.AVX512 if f in dispatched),
+                   PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", "import test_codec; print(test_codec._host_digests())"],
+                               env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == _host_digests()
 
 
 class TestFuzz:

@@ -32,7 +32,7 @@ class TestGoldenReport:
         rows = harness.run_benchmark(GOLDEN_CONFIG)
         assert all(r.status == "ok" for r in rows)
         harness.write_report(rows, GOLDEN_CONFIG, tmp_path)
-        assert _report_digest(tmp_path / "report.csv") == "5629928f67a48f4db4a68348816c60998f1e705a0ff7272a126e6618b12434df"
+        assert _report_digest(tmp_path / "report.csv") == "7d32b73c845dc0abababac220bff0dfce5e2c1ae5abc58dc50a124c2d3d24916"
 
 
 class TestConfigValidation:
