@@ -168,14 +168,17 @@ def sigmoid(v):
 
 
 def matvecs(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """`w @ v` for one vector v (n,) or for each row v of a (B, n) batch, bit for bit.
+    """`w @ v` for one vector v (n,) or for each row v of a (B, n) batch, in the format's summation order.
 
-    A stacked matrix-vector product runs the one-vector (gemv) kernel, so a
-    batch row keeps the bits of its vector alone; `X @ w.T` runs a
-    matrix-matrix kernel whose sums can differ in the last bit, and encoder
-    and decoder must agree on every bit.
+    Output i is `w[i, 0]*v[0]`, then `+ w[i, j]*v[j]` for j = 1 ... n-1, each
+    product and sum rounded to float64 in that order, by numpy's elementwise
+    operations only: a BLAS library picks its kernel, and its rounding, by CPU.
+    So encoder and decoder agree on every bit, and a batch row keeps its bits.
     """
-    return np.matmul(w, X[..., None])[..., 0]
+    out = X[..., :1] * w[:, 0]
+    for j in range(1, w.shape[1]):
+        out += X[..., j:j + 1] * w[:, j]
+    return out
 
 
 def _stack(data, n: int) -> np.ndarray:

@@ -408,8 +408,9 @@ def dct_matrix(n: int) -> np.ndarray:
     C[f, j] = s_f cos(pi (2j + 1) f / (2n)), with s_0 = sqrt(1/n) and
     s_f = sqrt(2/n) otherwise. The angle's numerator is reduced modulo 4n
     first, so every cosine is taken of an angle in [0, 2 pi). Built once per
-    n with `math.cos`; the transforms apply it with `matvecs`, as PCA applies
-    its basis, so a batch row keeps the bits of its vector alone.
+    n with `math.cos`; the transforms apply it in the format's summation
+    order (`matvecs`): output f is C[f, 0] p[0], then + C[f, j] p[j] for
+    j = 1 ... n-1, as PCA applies its basis.
     """
     C = np.array([[math.cos(math.pi * ((2 * j + 1) * f % (4 * n)) / (2 * n)) for j in range(n)]
                   for f in range(n)])

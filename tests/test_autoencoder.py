@@ -5,9 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aebound import autoencoder as ae
 from aebound.sphering import SpheringScale
+from oracle import ordered_matvec
 
 
 def finite_difference_gradient(theta, X, cfg, h=1e-6):
@@ -70,6 +72,31 @@ class TestSigmoid:
         v = -700.0
         expected = np.exp(v) / (1.0 + np.exp(v))
         assert ae.sigmoid(v) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def _products(draw):
+    """A (m, n) matrix and a (B, n) batch, B in 0..5, of finite floats whose products and sums stay finite."""
+    m, n, B = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    floats = st.floats(-1e100, 1e100)
+    w = np.array(draw(st.lists(floats, min_size=m * n, max_size=m * n))).reshape(m, n)
+    X = np.array(draw(st.lists(floats, min_size=B * n, max_size=B * n))).reshape(B, n)
+    return w, X
+
+
+class TestMatvecs:
+    @given(_products())
+    @settings(max_examples=200, deadline=None)
+    def test_stated_order_row_by_row(self, wX):
+        w, X = wX
+        got = ae.matvecs(w, X)
+        assert got.shape == np.matmul(w, X[..., None])[..., 0].shape == (X.shape[0], w.shape[0])
+        expected = np.array([ordered_matvec(w, x) for x in X]).reshape(got.shape)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        for x, row in zip(X, got):
+            alone = ae.matvecs(w, x)
+            assert alone.shape == (w @ x).shape
+            assert alone.view(np.uint64).tolist() == row.view(np.uint64).tolist()
 
 
 class TestModelParams:

@@ -8,6 +8,7 @@ from aebound import baselines, codec, harness, residual
 from aebound.autoencoder import CostConfig
 from aebound.errors import FormatError, RangeError
 from aebound.optimizer import LbfgsOptions, train
+from oracle import ordered_matvec
 
 
 def _segments(knots) -> int:
@@ -509,19 +510,19 @@ class TestHarnessBatchParity:
             basis = baselines.pca_fit(train_X, k)
 
             def one(p, bound):
-                coeffs = (basis.components @ (p - basis.mean)).astype(np.float32)  # the wire precision
-                recon = basis.mean + basis.components.T @ coeffs.astype(np.float64)
+                coeffs = ordered_matvec(basis.components, p - basis.mean).astype(np.float32)  # the wire precision
+                recon = basis.mean + ordered_matvec(basis.components.T, coeffs)
                 return patched(p, recon, bound, 32 * k)
         else:
             C = baselines.dct_matrix(n)
 
             def one(p, bound):
-                spectrum = C @ p
+                spectrum = ordered_matvec(C, p)
                 keep = np.zeros(n)
                 for i in np.argsort(-np.abs(spectrum), kind="stable")[:k]:
                     keep[i] = np.float32(spectrum[i])  # the wire precision
                 idx_bits = math.ceil(math.log2(n))
-                return patched(p, C.T @ keep, bound, k * (32 + idx_bits))
+                return patched(p, ordered_matvec(C.T, keep), bound, k * (32 + idx_bits))
         return one
 
     @pytest.mark.parametrize("batch", [1, 7, 115])

@@ -463,11 +463,11 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("mode, default_bound, digests", [
         ("temporal", 0.6, ("abcfada201343e6eb64259f17e6dd69c5004efc5f5aff7e2aa0dc7150f0d104a",
-                           "da7baf78897ba683d62f8edd7a8e608813ea34b4489293699d69e4ff91d1703c")),
+                           "a26402b2453b29951421f5160c3eb72d238d22d047a06b57d2d93a5a2daece70")),
         ("temporal", 0.0, ("5ae97f8c9c375d242291973a8f4a2d3fec73a69f17f2ab02793eeaccb2cc454f",
                            "386158fba45578dd5b975c7043709dca5d19419b8b2f43c3502ef83adb3f1cdc")),
         ("spatial", 0.6, ("d5a775d0ec6898502dae6002e7453d8e00b4db10f7fbf1cb2f1edfee9e204847",
-                          "550c870c571bf6024114172e8c4900b3d397fc8d9223e6d6255cf8d128ef405b")),
+                          "24c1af21ffc489048c36490f3f04afd97cba66c7e0c0beb8d28824e1560e8d0c")),
     ], ids=["temporal-lossy", "temporal-lossless", "spatial-lossy"])
     def test_output_digests(self, tmp_path, mode, default_bound, digests):
         csv_path, model_path = _seeded_inputs(tmp_path, default_bound)

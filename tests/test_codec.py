@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import struct
 import subprocess
@@ -14,6 +15,7 @@ from aebound import autoencoder as ae, baselines, codec, dataset
 from aebound.errors import FormatError, UnsupportedVersionError
 from aebound.residual import ResidualCode, patches, residual_decode
 from aebound.sphering import SpheringScale, estimate_sigma, normalize
+from oracle import ordered_matvec
 
 
 @pytest.fixture
@@ -98,7 +100,7 @@ class TestCompressDecompress:
         p = np.linspace(0, 7, 8)
         pkt = codec.compress(p, model, 1e12)
         q = codec.decompress(pkt, model)
-        z = ae.sigmoid(model.w_dec @ pkt.code[0, :3].astype(np.float64) + model.b_dec)
+        z = ae.sigmoid(ordered_matvec(model.w_dec, pkt.code[0, :3]) + model.b_dec)
         expected = (3 * model.sigma.sigma / 0.4) * (z - 0.5) + float(pkt.code[0, 3])
         np.testing.assert_array_equal(q, expected)
 
@@ -460,9 +462,9 @@ class TestPacketStream:
 
 
 def reference_compress(p, model, bound, wide):
-    """The per-vector encoder written out with one-vector matrix products."""
+    """The per-vector encoder written out, its products in the format's order."""
     m32 = np.float32(p.mean())
-    y32 = ae.sigmoid(model.w_enc @ normalize(p, model.sigma) + model.b_enc).astype(np.float32)
+    y32 = ae.sigmoid(ordered_matvec(model.w_enc, normalize(p, model.sigma)) + model.b_enc).astype(np.float32)
     q = reference_reconstruction(y32, m32, model)
     indicator = np.abs(p - q) > bound
     if wide:
@@ -473,7 +475,7 @@ def reference_compress(p, model, bound, wide):
 
 
 def reference_reconstruction(y32, m32, model):
-    z = ae.sigmoid(model.w_dec @ y32.astype(np.float64) + model.b_dec)
+    z = ae.sigmoid(ordered_matvec(model.w_dec, y32) + model.b_dec)
     return (3.0 * model.sigma.sigma / 0.4) * (z - 0.5) + float(m32)
 
 
@@ -563,17 +565,19 @@ class TestTransformModels:
 
 
 def _host_digests() -> str:
-    """sha256 digests of the sigmoid on seeded draws and of a lossy AE round trip, one per line.
+    """sha256 digests of the sigmoid on seeded draws and of lossy AE, DCT and PCA round trips, one per line.
 
     The inputs are built from normal draws and arithmetic only: numpy's
     float64 `sin` or `exp` would make the inputs themselves depend on the host.
+    The PCA basis is DCT rows, not `pca_fit`'s, whose SVD runs on LAPACK.
     """
     rng = np.random.default_rng(12)
     x = np.concatenate([rng.uniform(-750.0, 750.0, 50_000), rng.normal(0.0, 4.0, 50_000)])
     digests = [hashlib.sha256(ae.sigmoid(x).tobytes()).hexdigest()]
     P = 15.0 + np.cumsum(rng.normal(0.0, 0.3, (2000, 16)), axis=1)
-    model = ae.init_params(16, 4, seed=0, sigma=estimate_sigma(P))
-    for bound in (0.02, 0.1):
+    models = (ae.init_params(16, 4, seed=0, sigma=estimate_sigma(P)), baselines.DctModel(16, 4),
+              baselines.LinearBasisModel(np.full(16, 15.0), baselines.dct_matrix(16)[1:5].copy()))
+    for model, bound in itertools.product(models, (0.02, 0.1)):
         packets = codec.compress_batch(P, model, bound)
         h = hashlib.sha256(packets.code.tobytes() + packets.eps.indicator.tobytes() + packets.eps.values.tobytes())
         h.update(codec.decompress_batch(packets, model).tobytes())
@@ -586,12 +590,14 @@ class TestHostIndependence:
     AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
     def test_same_bits_without_avx512(self):
-        """The sigmoid and the lossy codec give the same bits with numpy's AVX-512 kernels turned off.
+        """The sigmoid and the lossy codecs give the same bits on numpy's and OpenBLAS's pre-AVX-512 kernels.
 
-        Only the names this numpy dispatches are turned off. On a host without
-        AVX-512, or a numpy that names its targets otherwise, nothing is turned
-        off and this test cannot fail; it shows something only where numpy's
-        own `exp` would differ.
+        The child turns off the AVX-512 targets this numpy dispatches and runs
+        OpenBLAS on its Prescott (SSE3) core. On a host without AVX-512, or a
+        numpy that names its targets otherwise, no numpy target is turned off.
+        `OPENBLAS_CORETYPE` bites only on an OpenBLAS built with DYNAMIC_ARCH,
+        as numpy's wheels are; elsewhere the child keeps the parent's BLAS
+        kernels, and the test shows nothing about them.
         """
         try:
             from numpy._core import _multiarray_umath as umath
@@ -600,6 +606,7 @@ class TestHostIndependence:
         dispatched = getattr(umath, "__cpu_dispatch__", ())
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(f for f in self.AVX512 if f in dispatched),
+                   OPENBLAS_CORETYPE="Prescott",
                    PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
         child = subprocess.run([sys.executable, "-c", "import test_codec; print(test_codec._host_digests())"],
                                env=env, capture_output=True, text=True, timeout=300)

@@ -32,7 +32,7 @@ class TestGoldenReport:
         rows = harness.run_benchmark(GOLDEN_CONFIG)
         assert all(r.status == "ok" for r in rows)
         harness.write_report(rows, GOLDEN_CONFIG, tmp_path)
-        assert _report_digest(tmp_path / "report.csv") == "7d32b73c845dc0abababac220bff0dfce5e2c1ae5abc58dc50a124c2d3d24916"
+        assert _report_digest(tmp_path / "report.csv") == "8b5fea461309a9c19670d9d212a2977ae74a6c6f3387ad3b9989376ba2f97ca7"
 
 
 class TestConfigValidation:
