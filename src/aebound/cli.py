@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import typing
@@ -66,14 +65,12 @@ def _coerce(key: str, value: str):
 def build_config(args) -> harness.BenchmarkConfig:
     pairs = list(parse_config_file(args.config).items()) if args.config else []
     raw = {_ALIASES.get(key, key): value for key, value in pairs + (args.set or [])}  # --set wins
-    source = raw.pop("dataset", "synth")
-    if source not in ("synth", "csv"):
-        raise UsageError(f"dataset must be 'synth' or 'csv', got {source!r}")
+    source = "csv" if "csv_path" in raw else "synth"  # a csv key alone decides the source
+    if raw.pop("dataset", source) != source:
+        raise UsageError(f"dataset must be {source!r}, since csv=<path> is {'' if source == 'csv' else 'not '}given")
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    if source == "csv" and "csv_path" not in raw:
-        raise UsageError("dataset=csv requires csv=<path>")
     try:
         cfg = {k: _coerce(k, v) for k, v in raw.items()}
         if getattr(args, "seed", None) is not None:
@@ -96,7 +93,7 @@ def cmd_train(args) -> int:
     k = cfg.k_list[0]
     n = windows.shape[1]
     model, trace = train_model(windows, n, k, cfg.cost(variant), cfg.optimizer, cfg.seed)
-    codec.save_model(model, bound, args.out)
+    codec.save_model(model, bound, cfg.mode, args.out)
     _say(
         f"trained {variant.upper()} n={n} k={k} on {len(windows)} vectors: "
         f"{trace.iterations} iterations, cost {trace.cost_history[0]:.6g} -> "
@@ -110,11 +107,11 @@ def cmd_train(args) -> int:
 def cmd_compress(args) -> int:
     if args.bound is not None and not args.bound >= 0:  # also rejects NaN
         raise UsageError(f"--bound must be nonnegative, got {args.bound}")
-    model, default_bound = codec.load_model(args.model)
+    model, default_bound, mode = codec.load_model(args.model)
     bound = default_bound if args.bound is None else args.bound
     matrix = dataset.fill_missing(dataset.load_csv(args.input, args.timestamp_column))
-    windows = dataset.make_windows(matrix, args.mode, model.n)
-    left_out = matrix.values.size - windows.size  # each sensor's trailing partial temporal window
+    windows = dataset.make_windows(matrix, mode, model.n)
+    left_out = matrix.values.size - windows.size  # temporal: each sensor's trailing partial window
     del matrix  # windows holds a copy of every reading used; free the matrix before encoding
     packets = codec.compress_batch(windows, model, bound)
     codec.write_packet_stream(packets, model.n, model.k, args.out)
@@ -139,7 +136,7 @@ _CSV_BLOCK_ROWS = 4096  # rows turned into Python floats at a time
 
 
 def cmd_decompress(args) -> int:
-    model, _ = codec.load_model(args.model)
+    model, _, _ = codec.load_model(args.model)
     packets = codec.read_packet_stream(args.packets, model.n, model.k)
     recon = codec.decompress_batch(packets, model)
     with open(args.out, "w") as fh:
@@ -174,43 +171,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aebound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, fn, help):
+        # no abbreviated flags: an unknown flag must not be read as one it prefixes (`--mod` as `--model`)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        return p
+
     def add_config_args(p, seed_required=False):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"),
                        help="override a config key")
         p.add_argument("--seed", type=int, required=seed_required, default=None)
 
-    p = sub.add_parser("train", help="fit a model and write a model file")
+    p = command("train", cmd_train, "fit a model and write a model file")
     add_config_args(p)
     p.add_argument("--out", required=True, help="output model file")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("compress", help="compress a CSV into a packet stream")
+    p = command("compress", cmd_compress, "compress a CSV into a packet stream, windowed as the model was trained")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--timestamp-column", default="t")
-    p.add_argument("--mode", choices=("temporal", "spatial"), default="temporal")
     p.add_argument("--bound", type=float, default=None,
                    help="override the model's default bound; 0 is lossless")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
                    help="decode the written file and check the bound against the original")
-    p.set_defaults(fn=cmd_compress)
 
-    p = sub.add_parser("decompress", help="decompress a packet stream into a CSV")
+    p = command("decompress", cmd_decompress, "decompress a packet stream into a CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--packets", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_decompress)
 
-    p = sub.add_parser("bench", help="run the benchmark sweep and write a report")
+    p = command("bench", cmd_bench, "run the benchmark sweep and write a report")
     add_config_args(p, seed_required=True)
     p.add_argument("--out", required=True, help="report directory")
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("report", help="regenerate plots from an existing report.csv")
+    p = command("report", cmd_report, "regenerate plots from an existing report.csv")
     p.add_argument("--report-dir", required=True)
-    p.set_defaults(fn=cmd_report)
     return parser
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import ModelParams, flatten_params, unflatten_params
+from .dataset import MODES
 from . import residual
 from .errors import FormatError, UnsupportedVersionError
 from .residual import ResidualCode
@@ -36,9 +37,9 @@ from .sphering import SpheringScale
 
 MODEL_MAGIC = b"AEB1"
 # 2: the decoder's sigmoid is `autoencoder.sigmoid`'s, whose bits differ from
-# version 1's (libm `exp`) by up to 2 ulps, so a version 1 model would not
-# decode its streams bit for bit
-MODEL_VERSION = 2
+# version 1's (libm `exp`) by up to 2 ulps. 3: a byte after the default bound
+# is the index in `dataset.MODES` of the windowing the model was trained on.
+MODEL_VERSION = 3
 WIDE_FLAG = 1 << 31  # length-prefix bit: this packet's patches are float64 readings
 
 
@@ -250,10 +251,10 @@ def deserialize_packet(data: bytes, n: int, k: int) -> Packets:
     return _parse_stream(struct.pack("<I", len(data) | (WIDE_FLAG if wide else 0)) + data, n, k)
 
 
-def packets_size_bits(packets: Packets, model) -> tuple[np.ndarray, np.ndarray]:
-    """Per-packet (code bits, residual bits) as two (B,) arrays: `model.code_bits`, and the patches' bits."""
+def packets_size_bits(packets: Packets, model) -> tuple[int, int]:
+    """(code bits, residual bits) of a batch: `model.code_bits` per packet, and the patches' bits."""
     _check_shapes(packets, model.n, model.code_width)
-    return np.full(len(packets), model.code_bits), residual.row_bits(packets.eps, model.n)
+    return len(packets) * model.code_bits, residual.size_bits(packets.eps)
 
 
 def write_packet_stream(packets: Packets, n: int, k: int, path) -> None:
@@ -270,38 +271,40 @@ def read_packet_stream(path, n: int, k: int) -> Packets:
     return _parse_stream(data, n, k)
 
 
-def save_model(model: ModelParams, bound: float, path) -> None:
-    """Persist parameters, sigma, and the default bound; 64-bit floats throughout."""
+def save_model(model: ModelParams, bound: float, mode: str, path) -> None:
+    """Persist parameters, sigma, the default bound and the windowing mode; 64-bit floats throughout."""
     bound = float(bound)
     if not (np.isfinite(bound) and bound >= 0):  # load_model would refuse the file
         raise ValueError(f"model default bound must be nonnegative and finite, got {bound}")
+    if mode not in MODES:
+        raise ValueError(f"model mode must be one of {MODES}, got {mode!r}")
     header = MODEL_MAGIC + struct.pack(
-        "<HIIdd", MODEL_VERSION, model.n, model.k, model.sigma.sigma, bound
+        "<HIIddB", MODEL_VERSION, model.n, model.k, model.sigma.sigma, bound, MODES.index(mode)
     )
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(flatten_params(model).astype("<f8").tobytes())  # w_enc, b_enc, w_dec, b_dec
 
 
-def load_model(path) -> tuple[ModelParams, float]:
-    """Load a model file; returns (params, default error bound)."""
+def load_model(path) -> tuple[ModelParams, float, str]:
+    """Load a model file; returns (params, default error bound, windowing mode)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    head_size = 4 + struct.calcsize("<HIIdd")
+    head_size = 4 + struct.calcsize("<HIIddB")
     if len(data) < head_size:
         raise FormatError(f"model file truncated: {len(data)} bytes")
     if data[:4] != MODEL_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {MODEL_MAGIC!r}")
-    version, n, k, sigma, bound = struct.unpack("<HIIdd", data[4:head_size])
+    version, n, k, sigma, bound, mode = struct.unpack("<HIIddB", data[4:head_size])
     if version > MODEL_VERSION:
         raise UnsupportedVersionError(f"model file version {version} > supported {MODEL_VERSION}")
-    if version == 1:
-        raise FormatError(f"model file version 1 != {MODEL_VERSION}: its decoder's sigmoid has changed, "
-                          "so it no longer reproduces its streams bit for bit; retrain the model")
-    if version != MODEL_VERSION:
-        raise FormatError(f"model file version {version} != {MODEL_VERSION}")
+    if version < MODEL_VERSION:
+        raise FormatError(f"model file version {version} != {MODEL_VERSION}: it does not say how its windows "
+                          "are cut, and a version 1 decoder's sigmoid differs; retrain the model")
     if not (np.isfinite(bound) and bound >= 0):
         raise FormatError(f"model default bound must be nonnegative and finite, got {bound}")
+    if mode >= len(MODES):
+        raise FormatError(f"model mode byte {mode} is none of {dict(enumerate(MODES))}")
     expected = head_size + 8 * (2 * k * n + k + n)
     if len(data) != expected:
         raise FormatError(f"model file length {len(data)} != expected {expected}")
@@ -310,4 +313,4 @@ def load_model(path) -> tuple[ModelParams, float]:
         model = unflatten_params(params, n, k, SpheringScale(sigma))
     except ValueError as exc:
         raise FormatError(f"bad model file: {exc}") from exc
-    return model, bound
+    return model, bound, MODES[mode]

@@ -19,6 +19,7 @@ from .errors import InsufficientDataError, ParseError, SchemaError, WindowError
 
 _MISSING_TOKENS = {"", "nan", "NaN", "NAN"}
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+MODES = ("temporal", "spatial")  # the ways `make_windows` cuts a matrix into windows
 
 
 @dataclass(frozen=True)

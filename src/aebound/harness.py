@@ -70,7 +70,7 @@ class BenchmarkConfig:
         for name in ("window", "sensors", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.mode not in ("temporal", "spatial"):
+        if self.mode not in dataset.MODES:
             raise ValueError(f"mode must be 'temporal' or 'spatial', got {self.mode!r}")
         if not self.k_list or not self.bounds:
             raise ValueError("k_list and bounds must be non-empty")
@@ -145,13 +145,13 @@ class _CellResult:
     wall_time: float = 0.0
 
     @classmethod
-    def of_batch(cls, P: np.ndarray, Q: np.ndarray, bits_code, bits_residual) -> "_CellResult":
-        """Tallies of the rows of P, reconstructed as Q, with their per-row bit counts."""
+    def of_batch(cls, P: np.ndarray, Q: np.ndarray, bits_code: int, bits_residual: int) -> "_CellResult":
+        """Tallies of the rows of P, reconstructed as Q, with the batch's code and residual bits."""
         rel = metrics.relative_errors(P, Q)
         windowed = ~np.isnan(rel)  # the relative error of an all-zero window is undefined
         return cls(
-            bits_code=int(np.sum(bits_code)),
-            bits_residual=int(np.sum(bits_residual)),
+            bits_code=bits_code,
+            bits_residual=bits_residual,
             bits_raw=RAW_BITS_PER_READING * P.size,
             abs_err_sum=_running_sum(metrics.abs_error_sums(P, Q)),
             abs_err_count=P.size,
@@ -183,17 +183,16 @@ class _CellResult:
 
 def _ltc(P, bound):
     knots, _, Q = baselines.ltc_compress_batch(P, bound)  # Q is the decode it checked
-    return Q, baselines.ltc_bits_batch(knots), np.zeros(len(P), dtype=np.int64)
+    return Q, int(baselines.ltc_bits_batch(knots).sum()), 0
 
 
 def _lzw(P, bound):
     blobs = baselines.lzw_truncated_compress_batch(P, bound)
-    bits_code = np.fromiter(map(baselines.lzw_code_bits, blobs), dtype=np.int64, count=len(blobs))
-    return baselines.lzw_truncated_decompress_batch(blobs, P.shape[1]), bits_code, np.zeros(len(P), dtype=np.int64)
+    return baselines.lzw_truncated_decompress_batch(blobs, P.shape[1]), sum(map(baselines.lzw_code_bits, blobs)), 0
 
 
 def _round_trip(method, train_X, k, cfg: BenchmarkConfig, seed):
-    """The method's batch round trip `(P, bound) -> (Q, bits_code[B], bits_residual[B])`.
+    """The method's batch round trip `(P, bound) -> (Q, bits_code, bits_residual)`, the bits as batch totals.
 
     LTC and truncated LZW write one bitstream per window. The rest are transform models, built on the
     training rows (an AE variant trains there from `seed`, PCA fits there), that go through the codec.

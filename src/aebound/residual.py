@@ -4,7 +4,7 @@ Reconstruction errors whose magnitude exceeds the configured bound are
 transmitted alongside an indicator bitmap; patching them back in on the
 receiver caps the per-index error at the bound. This module holds the
 codec's one patch rule, for every transform model (AE, PCA, DCT): `patches`
-encodes, `apply` decodes and `row_bits` charges. A patch is a float32
+encodes, `apply` decodes and `size_bits` charges. A patch is a float32
 residual added to the reconstruction, or, at bound 0 and wherever float32
 cannot hold the bound, the float64 reading itself, written in its place:
 that round trip is exact by construction, so every nonnegative bound holds.
@@ -96,7 +96,6 @@ def apply(code: ResidualCode, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def row_bits(code: ResidualCode, n: int) -> np.ndarray:
-    """Residual bits of each n-reading row: an indicator bit per reading, 8 * itemsize per patch."""
-    patched = code.indicator.reshape(-1, n).sum(axis=1)
-    return n + 8 * code.values.itemsize * patched
+def size_bits(code: ResidualCode) -> int:
+    """Residual bits of a batch: an indicator bit per reading, 8 * itemsize per patch."""
+    return code.indicator.size + 8 * code.values.nbytes

@@ -51,8 +51,8 @@ def write_csv(tmp_path, steps=60, sensors=2, seed=0):
     return str(path)
 
 
-def _seeded_inputs(tmp_path, default_bound):
-    """A seeded 5-sensor CSV and a seeded n=5, k=2 model file; returns their paths."""
+def _seeded_inputs(tmp_path, default_bound, mode):
+    """A seeded 5-sensor CSV and a seeded n=5, k=2 model file of that mode; returns their paths."""
     rng = np.random.default_rng(2024)
     sensors, steps, k = 5, 120, 2
     t = np.arange(steps)
@@ -69,7 +69,7 @@ def _seeded_inputs(tmp_path, default_bound):
         n=sensors, k=k, sigma=SpheringScale(1.5),
     )
     model_path = tmp_path / "m.aeb"
-    codec.save_model(model, default_bound, model_path)
+    codec.save_model(model, default_bound, mode, model_path)
     return csv_path, model_path
 
 
@@ -167,12 +167,12 @@ class TestCompressDecompress:
         assert np.array_equal(recon.view(np.uint64), windows.view(np.uint64))
 
     def test_bound_below_float32_resolution_verifies(self, tmp_path, capsys):
-        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)  # readings near 15
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")  # readings near 15
         packets = tmp_path / "p.bin"
         assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
                          "--bound", "1e-9", "--out", str(packets), "--verify"]) == 0
         assert "verify ok" in capsys.readouterr().out
-        model, _ = codec.load_model(model_path)
+        model, _, _ = codec.load_model(model_path)
         assert codec.read_packet_stream(packets, model.n, model.k).eps.values.dtype == np.float64
 
     def test_lossy_bound_on_lossless_model_sends_32_bit_patches(self, tiny_config, tmp_path):
@@ -182,7 +182,7 @@ class TestCompressDecompress:
         packets = tmp_path / "p.bin"
         assert cli.main(["compress", "--model", model_path, "--input", write_csv(tmp_path, steps=120),
                          "--bound", "0.1", "--out", str(packets)]) == 0
-        model, default_bound = codec.load_model(model_path)
+        model, default_bound, _ = codec.load_model(model_path)
         back = codec.read_packet_stream(packets, model.n, model.k)
         assert default_bound == 0.0 and back.eps.values.dtype == np.float32 and back.eps.count > 0
         head = 4 + 4 * model.k + 4 + (model.n + 7) // 8  # prefix, code, mean, indicator
@@ -202,7 +202,7 @@ class TestCompressDecompress:
         assert "packet" in capsys.readouterr().err
 
     def test_reports_patch_rate_and_bits_per_reading(self, tmp_path, capsys):
-        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")
         packets = tmp_path / "p.bin"
         assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
                          "--out", str(packets)]) == 0
@@ -210,7 +210,7 @@ class TestCompressDecompress:
                           capsys.readouterr().out)
         assert found is not None
         rate, readings, bits = float(found[1]), int(found[2]), float(found[3])
-        model, _ = codec.load_model(model_path)
+        model, _, _ = codec.load_model(model_path)
         indicator = codec.read_packet_stream(packets, model.n, model.k).eps.indicator
         assert readings == indicator.size == 5 * 120
         assert rate == pytest.approx(100 * indicator.mean(), abs=0.005)
@@ -220,10 +220,31 @@ class TestCompressDecompress:
     def test_names_the_readings_no_window_holds(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path, steps=65)  # 5 steps of each of 2 sensors past the last window of 12
         model_path = tmp_path / "m.aeb"
-        codec.save_model(ae.init_params(12, 3, seed=0, sigma=SpheringScale(1.0)), 0.5, model_path)
+        codec.save_model(ae.init_params(12, 3, seed=0, sigma=SpheringScale(1.0)), 0.5, "temporal", model_path)
         assert cli.main(["compress", "--model", str(model_path), "--input", csv_path,
                          "--out", str(tmp_path / "p.bin")]) == 0
         assert "left out 10 of 130 readings: no window of 12 holds them" in capsys.readouterr().out
+
+    def test_spatial_model_cuts_spatial_windows(self, tmp_path, capsys):
+        """A model trained on spatial windows compresses one packet per timestep, with no flag."""
+        csv_path = write_csv(tmp_path, steps=60, sensors=23)
+        config = tmp_path / "train.cfg"
+        config.write_text(f"csv = {csv_path}\nmode = spatial\nk = 4\nbounds = 0.1\nvariants = ae\nmax_iters = 20\n")
+        model_path, packets = tmp_path / "m.aeb", tmp_path / "p.bin"
+        assert cli.main(["train", "--config", str(config), "--seed", "1", "--out", str(model_path)]) == 0
+        assert cli.main(["compress", "--model", str(model_path), "--input", csv_path, "--verify",
+                         "--out", str(packets)]) == 0
+        out = capsys.readouterr().out
+        assert "verify ok" in out and "left out 0 of 1380 readings" in out and "wrote 60 packets" in out
+        model, _, mode = codec.load_model(model_path)
+        assert (model.n, mode) == (23, "spatial")
+        assert len(codec.read_packet_stream(packets, model.n, model.k)) == 60
+
+    def test_mode_is_not_a_compress_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compress", "--model", str(tmp_path / "m.aeb"), "--input", str(tmp_path / "in.csv"),
+                      "--mode", "spatial", "--out", str(tmp_path / "p.bin")])
+        assert exc.value.code == 2
 
 
 class TestBench:
@@ -342,6 +363,7 @@ class TestConfigKeys:
             ("bench", ["--set", "bounds", "-1"], "bounds"),
             ("bench", ["--set", "stride", "2"], "stride"),  # windows never overlap; no such key
             ("bench", ["--set", "dataset", "bogus"], "dataset"),
+            ("bench", ["--set", "csv", "readings.csv"], "dataset"),  # beside the config's dataset = synth
             ("bench", ["--set", "rho", "2"], "rho"),
             ("bench", ["--set", "beta", "-1"], "beta"),
             ("bench", ["--set", "beta", "nan"], "beta"),
@@ -357,8 +379,8 @@ class TestConfigKeys:
             ("compress", ["--bound", "-1"], "--bound"),
         ],
         ids=["mode", "fold_rotations", "folds", "variants", "k", "k-repeated", "max_iters", "bounds",
-             "stride", "dataset", "rho", "beta", "beta-nan", "eta", "window", "sensors", "steps",
-             "noise_sd", "period_range-one", "period_range-zero", "amp_range-reversed",
+             "stride", "dataset", "dataset-synth-with-csv", "rho", "beta", "beta-nan", "eta", "window",
+             "sensors", "steps", "noise_sd", "period_range-one", "period_range-zero", "amp_range-reversed",
              "bound-nan", "bound-negative"],
     )
     def test_bad_value_is_usage_error(self, tiny_config, tmp_path, capsys, command, extra, named):
@@ -427,12 +449,12 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_compress_runs_to_its_end(self, tmp_path, closed_pipe, unbuffered):
-        csv_path, model_path = _seeded_inputs(tmp_path, 0.6)
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")
         packets = tmp_path / "p.bin"
         child = _run_aebound(["compress", "--model", str(model_path), "--input", str(csv_path), "--verify",
                               "--out", str(packets)], closed_pipe, unbuffered)
         assert (child.returncode, child.stderr) == (0, "")
-        model, bound = codec.load_model(model_path)
+        model, bound, _ = codec.load_model(model_path)
         windows = dataset.make_windows(dataset.load_csv(str(csv_path), "t"), "temporal", model.n)
         decoded = codec.decompress_batch(codec.read_packet_stream(packets, model.n, model.k), model)
         assert np.max(np.abs(decoded - windows)) <= bound
@@ -470,10 +492,10 @@ class TestGoldenOutputs:
                           "24c1af21ffc489048c36490f3f04afd97cba66c7e0c0beb8d28824e1560e8d0c")),
     ], ids=["temporal-lossy", "temporal-lossless", "spatial-lossy"])
     def test_output_digests(self, tmp_path, mode, default_bound, digests):
-        csv_path, model_path = _seeded_inputs(tmp_path, default_bound)
+        csv_path, model_path = _seeded_inputs(tmp_path, default_bound, mode)
         packets, recon = tmp_path / "p.bin", tmp_path / "rec.csv"
         assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
-                         "--mode", mode, "--out", str(packets)]) == 0
+                         "--out", str(packets)]) == 0
         assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
                          "--out", str(recon)]) == 0
         assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (packets, recon)) == digests

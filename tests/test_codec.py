@@ -41,8 +41,7 @@ def random_packet(rng, n, k, n_resid=None, wide=False):
 
 def packet_bits(pkt, n, k) -> tuple[int, int]:
     """(code bits, residual bits) of one AE packet, from the batch count."""
-    (code,), (res,) = codec.packets_size_bits(pkt, SimpleNamespace(n=n, code_width=k + 1, code_bits=32 * (k + 1)))
-    return int(code), int(res)
+    return codec.packets_size_bits(pkt, SimpleNamespace(n=n, code_width=k + 1, code_bits=32 * (k + 1)))
 
 
 def stream_prefixes(data: bytes) -> list[int]:
@@ -302,9 +301,9 @@ class TestPacketSizeBits:
 class TestModelFile:
     def test_roundtrip_bitwise(self, model, tmp_path):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.25, path)
-        loaded, bound = codec.load_model(path)
-        assert bound == 0.25
+        codec.save_model(model, 0.25, "spatial", path)
+        loaded, bound, mode = codec.load_model(path)
+        assert (bound, mode) == (0.25, "spatial")
         assert loaded.n == model.n and loaded.k == model.k
         assert loaded.sigma.sigma == model.sigma.sigma
         for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
@@ -312,7 +311,7 @@ class TestModelFile:
 
     def test_corrupt_magic(self, model, tmp_path):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -321,7 +320,7 @@ class TestModelFile:
 
     def test_future_version(self, model, tmp_path):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
         data[4] = 99  # version field, little-endian u16
         path.write_bytes(bytes(data))
@@ -330,7 +329,7 @@ class TestModelFile:
 
     def test_version_zero(self, model, tmp_path):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
         data[4] = 0
         path.write_bytes(bytes(data))
@@ -338,21 +337,37 @@ class TestModelFile:
             codec.load_model(path)
         assert not isinstance(raised.value, UnsupportedVersionError)
 
-    def test_version_one_is_rejected(self, model, tmp_path):
-        """Version 1 models decoded with libm's `exp`; their streams would not decode bit for bit."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_one_is_rejected(self, model, tmp_path, version):
+        """Versions 1 and 2 do not record their windowing mode, and version 1 decoded with libm's `exp`."""
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
-        assert data[4:6] == bytes([2, 0])
-        data[4] = 1
+        assert data[4:6] == bytes([3, 0])
+        data[4] = version
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version 1 != 2.*retrain the model") as raised:
+        with pytest.raises(FormatError, match=f"version {version} != 3.*retrain the model") as raised:
             codec.load_model(path)
         assert not isinstance(raised.value, UnsupportedVersionError)
 
+    def test_unknown_mode_byte(self, model, tmp_path):
+        path = tmp_path / "model.aeb"
+        codec.save_model(model, 0.1, "spatial", path)
+        data = bytearray(path.read_bytes())
+        data[30] = 2  # the mode byte, after the f64 bound at 22
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="mode byte 2"):
+            codec.load_model(path)
+
+    def test_unknown_mode_not_saved(self, model, tmp_path):
+        path = tmp_path / "model.aeb"
+        with pytest.raises(ValueError, match="mode"):
+            codec.save_model(model, 0.1, "bogus", path)
+        assert not path.exists()
+
     def test_truncated_file(self, model, tmp_path):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             codec.load_model(path)
@@ -361,10 +376,10 @@ class TestModelFile:
     def test_bad_bound_not_saved(self, model, tmp_path, bound):
         path = tmp_path / "model.aeb"
         with pytest.raises(ValueError, match="bound"):
-            codec.save_model(model, bound, path)
+            codec.save_model(model, bound, "temporal", path)
         assert not path.exists()
 
-    # header: magic (4 bytes), u16 version, u32 n, u32 k, f64 sigma at 14, f64 bound at 22
+    # header: magic (4 bytes), u16 version, u32 n, u32 k, f64 sigma at 14, f64 bound at 22, u8 mode at 30
     @pytest.mark.parametrize(
         "offset, value",
         [(14, np.nan), (14, 0.0), (14, -1.0), (14, np.inf), (22, np.nan), (22, -1.0), (22, np.inf)],
@@ -372,7 +387,7 @@ class TestModelFile:
     )
     def test_bad_header_value(self, model, tmp_path, offset, value):
         path = tmp_path / "model.aeb"
-        codec.save_model(model, 0.1, path)
+        codec.save_model(model, 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
         struct.pack_into("<d", data, offset, value)
         path.write_bytes(bytes(data))
@@ -561,7 +576,7 @@ class TestTransformModels:
         assert np.max(np.abs(codec.decompress_batch(received, model) - P)) <= bound
         assert received == codec.Packets(code=received.code, eps=patches(P, model.decode(received.code), bound))
         bits_code, _ = codec.packets_size_bits(received, model)
-        assert bits_code.tolist() == [code_bits] * len(P)
+        assert bits_code == code_bits * len(P)
 
 
 def _host_digests() -> str:
@@ -651,12 +666,12 @@ class TestFuzz:
     @pytest.mark.filterwarnings("ignore:code dimension k")  # k >= n is a valid model
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 6), k=st.integers(1, 6),
-           edits=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 255)), min_size=1, max_size=6))
+           edits=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 255)), min_size=1, max_size=6))
     def test_load_model_mutated_header(self, tmp_path_factory, n, k, edits):
         path = tmp_path_factory.mktemp("fuzz") / "model.aeb"
-        codec.save_model(ae.init_params(n, k, seed=0, sigma=SpheringScale(1.5)), 0.1, path)
+        codec.save_model(ae.init_params(n, k, seed=0, sigma=SpheringScale(1.5)), 0.1, "temporal", path)
         data = bytearray(path.read_bytes())
-        for offset, byte in edits:  # header: magic, u16 version, u32 n, u32 k, f64 sigma, f64 bound
+        for offset, byte in edits:  # header: magic, u16 version, u32 n, u32 k, f64 sigma, f64 bound, u8 mode
             data[offset] = byte
         path.write_bytes(bytes(data))
         try:

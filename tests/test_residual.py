@@ -96,7 +96,7 @@ class TestBoundGuaranteeKernel:
 
 
 class TestPatchRule:
-    """`patches` encodes, `apply` decodes and `row_bits` charges, for every patched codec."""
+    """`patches` encodes, `apply` decodes and `size_bits` charges, for every patched codec."""
 
     P = np.array([[20.0, 21.5, 19.25], [18.0, 22.0, 20.125]])
     Q = np.array([[20.5, 21.5, 19.0], [18.0, 21.0, 20.0]])
@@ -107,7 +107,7 @@ class TestPatchRule:
         np.testing.assert_array_equal(code.indicator, [True, False, True, False, True, False])
         np.testing.assert_array_equal(code.values, [-0.5, 0.25, 1.0])
         np.testing.assert_array_equal(residual.apply(code, self.Q.copy()), [[20.0, 21.5, 19.25], [18.0, 22.0, 20.0]])
-        np.testing.assert_array_equal(residual.row_bits(code, 3), [3 + 2 * 32, 3 + 32])
+        assert residual.size_bits(code) == 6 + 3 * 32
 
     def test_wide_patches_are_readings_written_in_place(self):
         Q = self.Q + 1e-17  # no float64 residual repairs these exactly; the readings do
@@ -115,11 +115,11 @@ class TestPatchRule:
         assert code.values.dtype == np.float64
         np.testing.assert_array_equal(code.values, self.P.ravel()[code.indicator])
         assert residual.apply(code, Q).tobytes() == self.P.tobytes()
-        np.testing.assert_array_equal(residual.row_bits(code, 3), 3 + 64 * code.indicator.reshape(2, 3).sum(axis=1))
+        assert residual.size_bits(code) == 6 + 64 * code.count
 
     def test_empty_batch(self):
         code = residual.patches(np.zeros((0, 4)), np.zeros((0, 4)), 0.1)
-        assert residual.row_bits(code, 4).shape == (0,)
+        assert residual.size_bits(code) == 0
         assert residual.apply(code, np.zeros((0, 4))).shape == (0, 4)
 
     @pytest.mark.parametrize("p, q, bound", [
