@@ -68,6 +68,8 @@ def build_config(args) -> harness.BenchmarkConfig:
     source = "csv" if "csv_path" in raw else "synth"  # a csv key alone decides the source
     if raw.pop("dataset", source) != source:
         raise UsageError(f"dataset must be {source!r}, since csv=<path> is {'' if source == 'csv' else 'not '}given")
+    if raw.get("mode") == "spatial" and "window" in raw:
+        raise UsageError("window is a key of mode = temporal only: a spatial window holds one reading per sensor")
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")

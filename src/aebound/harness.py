@@ -71,7 +71,7 @@ class BenchmarkConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in dataset.MODES:
-            raise ValueError(f"mode must be 'temporal' or 'spatial', got {self.mode!r}")
+            raise ValueError(f"mode must be one of {dataset.MODES}, got {self.mode!r}")
         if not self.k_list or not self.bounds:
             raise ValueError("k_list and bounds must be non-empty")
         if not self.variants and not self.baseline_methods:

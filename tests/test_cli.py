@@ -369,6 +369,7 @@ class TestConfigKeys:
             ("bench", ["--set", "beta", "nan"], "beta"),
             ("bench", ["--set", "eta", "-0.5"], "eta"),
             ("bench", ["--set", "window", "0"], "window"),
+            ("bench", ["--set", "mode", "spatial"], "window"),  # beside the config's window = 12
             ("bench", ["--set", "sensors", "0"], "sensors"),
             ("bench", ["--set", "steps", "0"], "steps"),
             ("bench", ["--set", "noise_sd", "-1"], "noise_sd"),
@@ -380,8 +381,8 @@ class TestConfigKeys:
         ],
         ids=["mode", "fold_rotations", "folds", "variants", "k", "k-repeated", "max_iters", "bounds",
              "stride", "dataset", "dataset-synth-with-csv", "rho", "beta", "beta-nan", "eta", "window",
-             "sensors", "steps", "noise_sd", "period_range-one", "period_range-zero", "amp_range-reversed",
-             "bound-nan", "bound-negative"],
+             "window-spatial", "sensors", "steps", "noise_sd", "period_range-one", "period_range-zero",
+             "amp_range-reversed", "bound-nan", "bound-negative"],
     )
     def test_bad_value_is_usage_error(self, tiny_config, tmp_path, capsys, command, extra, named):
         # compress checks --bound before it opens the model or the CSV, neither of which exists here

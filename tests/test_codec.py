@@ -466,6 +466,18 @@ class TestPacketStream:
         with pytest.raises(FormatError, match=rf"^packet 2: {bits[1]}-bit patches in a stream of {bits[0]}-bit ones"):
             codec.read_packet_stream(path, 8, 3)
 
+    def test_lengthened_to_the_other_width_names_its_packet(self, tmp_path):
+        """4 more bytes per float32 patch is a float64 body's length; the unflagged prefix still names it."""
+        rng = np.random.default_rng(21)
+        blobs = [codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2), 8, 3) for _ in range(3)]
+        assert codec.deserialize_packet(blobs[0] + bytes(8), 8, 3).eps.values.dtype == np.float64
+        data = bytearray(stream_of(blobs))
+        struct.pack_into("<I", data, 0, len(blobs[0]) + 8)
+        path = tmp_path / "packets.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=rf"^packet 0: length {len(blobs[0]) + 8} != expected {len(blobs[0])}"):
+            codec.read_packet_stream(path, 8, 3)
+
     def test_truncated_stream_names_packet_index(self, model, tmp_path):
         rng = np.random.default_rng(11)
         packets = codec.compress_batch(rng.normal(0, 3, (3, 8)), model, 0.2)
