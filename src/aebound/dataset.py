@@ -162,6 +162,153 @@ def _parse_rows(reader, path, header: list[str], ts_col: int, reading_cols: list
     return timestamps, np.stack([rows[t] for t in timestamps], axis=1)  # sensors x steps
 
 
+def csv_rows(first_index: int, block: np.ndarray) -> bytes:
+    """The CSV lines `i,v0,...,v{n-1}` of a (rows, n) block, numbered from first_index >= 0.
+
+    Each reading is written as `repr` writes it: the shortest decimal that
+    reads back as the same float64 and, of those, the nearest to it. numpy
+    formats the whole block at once (`_shortest`); a nonzero reading outside
+    1e-4 <= |x| < 1e15, and one whose digits `_shortest` cannot certify, go
+    through `repr`. The text is built as a uint8 matrix, one slot of columns
+    per reading with NUL where a reading has no character, and the NULs are
+    then dropped.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    rows, n = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)  # in repr's fixed notation
+    digits, point, sure = _shortest(np.where(fast, a, 1.5))
+    zero = a == 0
+    digits[zero], point[zero] = 0, 0  # "0.0"
+    sure = (sure & fast) | zero
+    back = np.flatnonzero(~sure)
+    texts = [repr(v).encode("ascii") for v in x[back].tolist()]
+
+    # the columns of a reading's slot: sign, "0.000" before a leading digit below
+    # 1, the 17 digits with a point column after each position a reading uses
+    cols = [np.signbit(x) * np.uint8(ord("-"))]
+    used = np.bincount(point[sure] + 4, minlength=19).astype(bool)  # points -4..14 in use
+    if used[:4].any():
+        under_one = point < 0
+        cols += [under_one * np.uint8(ord("0")), under_one * np.uint8(ord("."))]
+        cols += [(point < -z) * np.uint8(ord("0")) for z in range(1, 4) if used[: 4 - z].any()]
+    top = digits // 10**9  # two halves below 2**32: uint32 division is faster
+    digit_cols = _digit_columns(top.astype(np.uint32), 8) + _digit_columns((digits - top * 10**9).astype(np.uint32), 9)
+    significant = np.zeros(x.size, dtype=bool)
+    point8 = point.astype(np.int8)
+    for i in range(16, -1, -1):  # drop trailing zeros, but keep one digit after the point
+        significant |= digit_cols[i] != 0
+        digit_cols[i] = (digit_cols[i] + np.uint8(ord("0"))) * (significant | (point8 >= i - 1))
+    for i, col in enumerate(digit_cols):
+        cols.append(col)
+        if i < 15 and used[i + 4]:
+            cols.append((point == i) * np.uint8(ord(".")))
+
+    width = 1 + max([len(cols)] + [len(t) for t in texts])  # a comma, then the reading
+    index = np.arange(first_index, first_index + rows, dtype=np.int64)
+    index_width = len(str(first_index + rows - 1))
+    buf = np.zeros((rows, index_width + n * width + 1), dtype=np.uint8)
+    for i, col in enumerate(_digit_columns(index, index_width)):
+        leading = (index >= 10 ** (index_width - 1 - i)) | (i == index_width - 1)
+        buf[:, i] = (col + np.uint8(ord("0"))) * leading
+    slots = buf[:, index_width : index_width + n * width].reshape(rows, n, width)
+    slots[:, :, 0] = ord(",")
+    for j, col in enumerate(cols, start=1):
+        slots[:, :, j] = col.reshape(rows, n)
+    for g, text in zip(back.tolist(), texts):
+        slot = slots[g // n, g % n, 1:]
+        slot[:] = 0
+        slot[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    buf[:, -1] = ord("\n")
+    flat = buf.ravel()
+    return flat[flat != 0].tobytes()
+
+
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_VELTKAMP = 2.0**27 + 1
+
+
+def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p + e == a * b exactly (Dekker)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as hi + lo, each with at most 26 significant bits (Veltkamp)."""
+    c = _VELTKAMP * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _near_int(v: np.ndarray) -> np.ndarray:
+    return np.abs(v - np.rint(v)) < 1e-6
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, point, sure): the shortest decimal of each double in 1e-4 <= a < 1e15.
+
+    The decimal is `digits * 10**(point - 16)`, digits an int64 in [1e16,
+    1e17): its significant digits, then zeros. Where `sure` is False the
+    digits are not certified. The method follows Loitsch's Grisu3 (PLDI
+    2010): an exact scaling, and a test that tells when it cannot decide.
+    y = a * 10**(16 - point) is formed exactly as a double-double. Every
+    decimal from y - below to y + above reads back as a: half the gaps to
+    a's neighbours, scaled alike, exact, and equal except at a power of two.
+    The shortest is the multiple of the largest power of ten in that
+    interval; where there are more, the one nearest y, and on a tie the one
+    with an even last digit, as `repr` picks. An interval end within 1e-6
+    of an integer leaves the comparisons unsure.
+    """
+    point = np.floor(np.log10(a)).astype(np.int64)  # can be one off near a power of ten
+    scale = _POW10[16 - point]
+    hi, lo = _two_prod(a, scale)
+    off = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    if off.any():
+        point += off
+        scale = _POW10[16 - point]
+        hi, lo = _two_prod(a, scale)
+    bits = a.view(np.uint64)
+    above = np.ldexp(scale, ((bits >> np.uint64(52)).astype(np.int64) - 1076).astype(np.int32))
+    below = np.where(bits & np.uint64((1 << 52) - 1) == 0, 0.5 * above, above)
+    fl = np.floor(lo)
+    y = hi.astype(np.int64) + fl.astype(np.int64)  # floor of y: hi is an integer, lo is small
+    f = lo - fl  # y's fraction, to within 2**-53
+    q10 = y // 10
+    q100 = q10 // 10
+    ones = y - 10 * q10
+    tens = q10 - 10 * q100
+    t = f + (10 * tens + ones)  # y mod 100
+    r = f + ones  # y mod 10
+    # below + above < 23, so one multiple of 100 at most is in the interval
+    low, high = t <= below, t >= 100 - above
+    down10, up10 = r <= below, r >= 10 - above
+    by10 = ~(low | high) & (down10 | up10)
+    by1 = ~(low | high | by10)
+    # round up to the multiple above y where it is nearer, or as near with an odd digit
+    # below, or where the multiple below is outside the interval
+    half = fl + 0.5
+    nearer10 = (ones > 5) | ((ones == 5) & ((lo > fl) | ((lo == fl) & (tens & 1 == 1))))
+    nearer1 = (lo > half) | ((lo == half) & (ones & 1 == 1))
+    digits = 100 * (q100 + high)
+    digits = np.where(by10, 10 * (q10 + (up10 & (nearer10 | ~down10))), digits)
+    digits = np.where(by1, y + ((f >= 1 - above) & (nearer1 | (f > below))), digits)
+    sure = ~(_near_int(f - below) | _near_int(f + above)) & (digits < 10**17)
+    return digits, point, sure
+
+
+def _digit_columns(v: np.ndarray, count: int) -> list[np.ndarray]:
+    """The `count` low decimal digits of nonnegative integers v, most significant first, as uint8."""
+    out = [None] * count
+    for i in range(count - 1, -1, -1):
+        q = v // 10
+        out[i] = (v - q * 10).astype(np.uint8)
+        v = q
+    return out
+
+
 def fill_missing(m: SensorMatrix) -> SensorMatrix:
     """Replace NaN entries by linear interpolation along each sensor's row.
 

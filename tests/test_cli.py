@@ -240,6 +240,36 @@ class TestCompressDecompress:
         assert (model.n, mode) == (23, "spatial")
         assert len(codec.read_packet_stream(packets, model.n, model.k)) == 60
 
+    def test_lossless_text_reads_back_bit_for_bit(self, tmp_path):
+        """At bound 0, recon.csv's text gives back every windowed reading's bits: signs, huge and tiny magnitudes."""
+        _, model_path = _seeded_inputs(tmp_path, 0.0, "temporal")  # n = 5
+        rng = np.random.default_rng(5)
+        values = rng.normal(0, 1, (2, 40)) * 10.0 ** rng.integers(-12, 22, (2, 40))
+        values[0, :6] = [-0.0, 5e-324, -3e-5, 2.5e16, -1e22, 1e-4]
+        csv_path, packets, recon = tmp_path / "wide.csv", tmp_path / "p.bin", tmp_path / "rec.csv"
+        with open(csv_path, "w") as fh:
+            fh.write("t,a,b\n")
+            for j, row in enumerate(values.T.tolist()):
+                fh.write(f"{j}," + ",".join(map(repr, row)) + "\n")
+        windows = dataset.make_windows(dataset.load_csv(csv_path, "t"), "temporal", 5)
+        readings = np.abs(windows[windows != 0])
+        assert (windows < 0).any() and (readings > 1e16).any() and (readings < 1e-4).any()
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path), "--bound", "0",
+                         "--out", str(packets)]) == 0
+        assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
+                         "--out", str(recon)]) == 0
+        table = np.loadtxt(recon, delimiter=",", skiprows=1, ndmin=2)
+        assert table[:, 0].tolist() == list(range(len(windows)))
+        assert table[:, 1:].tobytes() == windows.tobytes()
+
+    def test_empty_packet_file_writes_the_header_alone(self, tmp_path):
+        _, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")  # n = 5
+        packets, recon = tmp_path / "p.bin", tmp_path / "rec.csv"
+        packets.write_bytes(b"")
+        assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
+                         "--out", str(recon)]) == 0
+        assert recon.read_bytes() == b"window,v0,v1,v2,v3,v4\n"
+
     def test_mode_is_not_a_compress_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compress", "--model", str(tmp_path / "m.aeb"), "--input", str(tmp_path / "in.csv"),

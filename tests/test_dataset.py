@@ -1,3 +1,4 @@
+import builtins
 import os
 import threading
 import warnings
@@ -6,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aebound import dataset
 from aebound.dataset import SensorMatrix
@@ -208,6 +210,63 @@ class TestLoadCsvFastPath:
         assert not writer.is_alive()
         assert m.timestamps.tolist() == [1, 2, 3]
         assert m.values[0, 0] == 3.0 and np.isnan(m.values[0, 1])
+
+
+def repr_rows(first_index, block):
+    """The text `csv_rows` must write: one `repr` per reading."""
+    return "".join(f"{i}," + ",".join(map(repr, row)) + "\n"
+                   for i, row in enumerate(block.tolist(), first_index)).encode()
+
+
+def _with_ulp_neighbours(values):
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+_EDGES = np.concatenate([
+    _with_ulp_neighbours(10.0 ** np.arange(-8, 23)),
+    _with_ulp_neighbours(2.0 ** np.arange(-40, 70)),
+    [1e-5, 1e-4, 1e15, 1e16, 0.0, 5e-324, np.finfo(np.float64).max],
+])
+_EDGE_READINGS = np.concatenate([_EDGES, -_EDGES])
+
+_FLOAT_READINGS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.builds(round, st.floats(-1e7, 1e7), st.integers(0, 8)),
+    st.sampled_from(_EDGE_READINGS.tolist()),
+)
+
+
+class TestCsvRows:
+    @settings(max_examples=500, deadline=None)
+    @given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                            elements=_FLOAT_READINGS),
+           first_index=st.integers(0, 10**15))
+    def test_same_bytes_as_repr(self, block, first_index):
+        assert dataset.csv_rows(first_index, block) == repr_rows(first_index, block)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("first_index", [0, 95, 10**9 - 40])  # index widths change inside the block
+    def test_edge_readings(self, n, first_index):
+        block = _EDGE_READINGS[: _EDGE_READINGS.size // n * n].reshape(-1, n)
+        assert dataset.csv_rows(first_index, block) == repr_rows(first_index, block)
+
+    def test_empty_block(self):
+        assert dataset.csv_rows(0, np.empty((0, 4))) == b""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.normal(15.0, 3.0, (2000, 16)),
+        lambda rng: rng.normal(0.0, 100.0, (2000, 16)).astype(np.float32).astype(np.float64),
+        lambda rng: np.round(rng.uniform(-50.0, 50.0, (2000, 16)), 2),
+    ], ids=["float64", "float32-valued", "two-decimal"])
+    def test_typical_readings_skip_repr(self, monkeypatch, make):
+        """Readings that repr writes in fixed notation are formatted by numpy: at most 1 in 1000 goes through repr."""
+        calls = []
+        monkeypatch.setattr(dataset, "repr", lambda v: calls.append(v) or builtins.repr(v), raising=False)
+        block = make(np.random.default_rng(3))
+        text = dataset.csv_rows(0, block)
+        assert len(calls) <= block.size // 1000
+        assert text == repr_rows(0, block)
 
 
 def matrix(rows, ids=None):
