@@ -65,9 +65,9 @@ class ModelParams:
         return 32 * self.code_width
 
     def encode(self, P: np.ndarray) -> np.ndarray:
-        """The float32 wire code of each row of a (B, n) batch: y, then the row mean with the bits of `p.mean()`."""
+        """The float64 code of each row of a (B, n) batch: y, then the row mean with the bits of `p.mean()`."""
         y = sigmoid(matvecs(self.w_enc, normalize(P, self.sigma)) + self.b_enc)
-        return np.column_stack([y, np.add.reduce(P, axis=1) / self.n]).astype(np.float32)
+        return np.column_stack([y, np.add.reduce(P, axis=1) / self.n])
 
     def decode(self, code: np.ndarray) -> np.ndarray:
         """The (B, n) float64 reconstructions of a wire code, bitwise the same on both sides of the link."""

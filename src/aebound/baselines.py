@@ -349,7 +349,7 @@ def lzw_code_bits(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class LinearBasisModel:
-    """A PCA basis as a transform model: its wire code is the k coefficients in float32."""
+    """A PCA basis as a transform model: its code is the k coefficients."""
 
     mean: np.ndarray
     components: np.ndarray  # k x n, orthonormal rows
@@ -367,7 +367,7 @@ class LinearBasisModel:
         return 32 * self.code_width
 
     def encode(self, P) -> np.ndarray:
-        return pca_compress(P, self).astype(np.float32)
+        return pca_compress(P, self)
 
     def decode(self, code) -> np.ndarray:
         return pca_decompress(code, self)
@@ -439,7 +439,7 @@ def dct_compress_batch(P, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DctModel:
-    """The k-coefficient DCT as a transform model: the float32 spectrum, zero off the k kept indices.
+    """The k-coefficient DCT as a transform model: its code is the spectrum, zero off the k kept indices.
 
     A row is charged k coefficients of 32 bits and ceil(log2 n) index bits each.
     """
@@ -457,8 +457,8 @@ class DctModel:
 
     def encode(self, P) -> np.ndarray:
         idx, coeffs = dct_compress_batch(P, self.k)
-        code = np.zeros((idx.shape[0], self.n), dtype=np.float32)
-        np.put_along_axis(code, idx, coeffs.astype(np.float32), axis=1)
+        code = np.zeros((idx.shape[0], self.n))
+        np.put_along_axis(code, idx, coeffs, axis=1)
         return code
 
     def decode(self, code) -> np.ndarray:

@@ -2,15 +2,15 @@
 
 One codec serves every transform model: the autoencoder's `ModelParams` and
 `baselines`' PCA and DCT models. A model has `n`, `code_width`, `code_bits`
-per row, `encode` ((B, n) readings to a float32 wire code) and `decode`
-(wire code to float64 readings). Patches are formed against the decode of
-the wire code -- exactly what the decoder will see -- so quantizing the code
-can never break the error bound. They follow `residual`'s rule: a 32-bit
-residual added to the reconstruction, except at bound 0, or where 32 bits
-cannot hold the bound, where it is the 64-bit reading itself, written in
-place of the reconstruction. The wire layout is the autoencoder's: (n, k)
+per row, `encode` ((B, n) readings to a float64 code) and `decode` (wire
+code to float64 readings). Patches are formed against the decode of the
+float32 wire code -- exactly what the decoder will see -- so quantizing the
+code can never break the error bound. They follow `residual`'s rule: a
+32-bit residual added to the reconstruction, except at bound 0, or where 32
+bits cannot hold the bound, where it is the 64-bit reading itself, written
+in place of the reconstruction. The wire layout is the autoencoder's: (n, k)
 give its shape, and the top bit of each packet's length prefix is set when
-its patches are 64-bit. A lone packet's length says it: 8 bytes per patch.
+its patches are 64-bit. A lone packet is a one-packet stream, prefix and all.
 
 The codec works on batches: `compress_batch` encodes a (B, n) window matrix
 into one `Packets`, `decompress_batch` decodes it, and packet streams are
@@ -88,7 +88,9 @@ def compress_batch(P, model, bound: float) -> Packets:
     Row i is bit-identical to `compress(P[i])`. The patches are
     `residual.patches` against `model.decode` of the wire code: float32
     residuals at a positive bound that float32 can hold, else float64
-    readings for the whole batch, so every nonnegative bound holds.
+    readings for the whole batch, so every nonnegative bound holds for every
+    finite reading. The wire code is the model's code cast to float32, NaN
+    pinned to 0 and values past float32's range to its largest finite value.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] != model.n:
@@ -97,7 +99,8 @@ def compress_batch(P, model, bound: float) -> Packets:
         raise ValueError("input contains non-finite entries")
     if not bound >= 0:  # also rejects NaN
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    code = model.encode(P)
+    with np.errstate(over="ignore", invalid="ignore"):  # readings near float64's range overflow the transform
+        code = np.nan_to_num(model.encode(P).astype(np.float32), copy=False)  # NaN to 0, +-inf to +-float32 max
     return Packets(code=code, eps=residual.patches(P, model.decode(code), bound))
 
 
@@ -131,7 +134,7 @@ def decompress(packet: Packets, model: ModelParams) -> np.ndarray:
 
 
 def _head_size(n: int, k: int) -> int:
-    """Bytes of a packet before its patches in a stream: u32 prefix, k x f32 code, f32 mean, indicator."""
+    """Bytes of a packet before its patches: u32 prefix, k x f32 code, f32 mean, indicator."""
     return 4 + 4 * k + 4 + (n + 7) // 8
 
 
@@ -154,6 +157,8 @@ def _stream_bytes(packets: Packets, n: int, k: int) -> np.ndarray:
     values = packets.eps.values
     if values.dtype not in (np.float32, np.float64):
         raise ValueError(f"patch values must be float32 or float64, got {values.dtype}")
+    if not (np.isfinite(packets.code).all() and np.isfinite(values).all()):  # the reader would refuse them
+        raise ValueError("code words and patches must be finite")
     count = len(packets)
     value_size = values.dtype.itemsize
     indicator = packets.eps.indicator.reshape(count, n)
@@ -181,7 +186,8 @@ def _parse_stream(data: bytes, n: int, k: int) -> Packets:
     Each body's length is checked against its own prefix's patch width, every
     width must be packet 0's, and the indicator's padding bits must be zero.
     The walk over the prefixes stops at a truncated packet or a body shorter
-    than a head, which is reported once every packet before it parsed.
+    than a head, which is reported once every packet before it parsed. Only
+    then are code words and patches checked: each must be finite.
     """
     head = _head_size(n, k)
     unpack_prefix = struct.Struct("<I").unpack_from
@@ -224,31 +230,29 @@ def _parse_stream(data: bytes, n: int, k: int) -> Packets:
         raise FormatError(f"packet {i}: length {lengths[i]} != expected {expected[i]}")
     if walk_error is not None:
         raise FormatError(walk_error)
+    code = heads[:, 4: 4 * k + 8].copy().view("<f4")
     values = stream[~in_head].view("<f8" if wide[:1].any() else "<f4")
-    return Packets(code=heads[:, 4: 4 * k + 8].copy().view("<f4"),
-                   eps=ResidualCode(indicator=indicator.ravel(), values=values))
+    bad_rows = np.flatnonzero(~np.isfinite(code).all(axis=1))
+    bad_patches = np.flatnonzero(~np.isfinite(values))
+    if bad_rows.size or bad_patches.size:
+        owners = np.searchsorted(np.cumsum(indicator.sum(axis=1)), bad_patches[:1], side="right")
+        raise FormatError(f"packet {int(np.concatenate([bad_rows[:1], owners]).min())}: "
+                          "non-finite code word or patch")
+    return Packets(code=code, eps=ResidualCode(indicator=indicator.ravel(), values=values))
 
 
 def serialize_packet(packet: Packets, n: int, k: int) -> bytes:
-    """Bit-exact little-endian wire layout of one packet (see `_stream_bytes`)."""
+    """Bit-exact wire layout of one packet: a one-packet stream, its prefix included (see `_stream_bytes`)."""
     _check_one(packet)
-    return _stream_bytes(packet, n, k)[4:].tobytes()
+    return _stream_bytes(packet, n, k).tobytes()
 
 
 def deserialize_packet(data: bytes, n: int, k: int) -> Packets:
-    """Inverse of serialize_packet, as a one-row `Packets`; rejects truncated or oversized buffers.
-
-    A lone packet has no length prefix, so its length gives its patch width:
-    a body of exactly a head plus 8 bytes per set indicator bit, with at least
-    one set, holds float64 patches, and any other body is read as float32.
-    The two never coincide, since 4c != 8c for c > 0 patches.
-    """
-    data = bytes(data)
-    head = _head_size(n, k) - 4  # no prefix
-    indicator = np.unpackbits(np.frombuffer(data[4 * k + 4: head], np.uint8), bitorder="little")[:n]
-    patches = np.count_nonzero(indicator)
-    wide = patches > 0 and len(data) == head + 8 * patches
-    return _parse_stream(struct.pack("<I", len(data) | (WIDE_FLAG if wide else 0)) + data, n, k)
+    """Inverse of serialize_packet: `_parse_stream` of exactly one packet, as a one-row `Packets`."""
+    packet = _parse_stream(bytes(data), n, k)
+    if len(packet) != 1:
+        raise FormatError(f"expected one packet, got {len(packet)}")
+    return packet
 
 
 def packets_size_bits(packets: Packets, model) -> tuple[int, int]:

@@ -69,18 +69,22 @@ def patches(p, q, bound: float) -> ResidualCode:
     At a positive bound the patches are float32 residuals when every patched
     reading, rebuilt as `apply` adds its residual back, stays within the
     bound. Otherwise, at bound 0 or a bound finer than float32 resolution,
-    the whole batch goes as the float64 readings themselves, exact at any bound.
+    the whole batch goes as the float64 readings themselves, exact at any
+    bound. At bound 0 a reading is patched wherever its bits and its
+    reconstruction's differ, so a -0.0 comes back as -0.0.
     """
     p = np.asarray(p, dtype=np.float64).ravel()
     q = np.asarray(q, dtype=np.float64).ravel()
+    if bound == 0.0:
+        patched = p.view(np.uint64) != q.view(np.uint64)
+        return ResidualCode(indicator=patched, values=p[patched])
     code = residual_code(p - q, bound)
     patched = code.indicator
-    if bound > 0.0:
-        with np.errstate(over="ignore"):  # a residual that overflows float32 rebuilds with an infinite error
-            values = code.values.astype(np.float32)
-        err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
-        if not np.any(err > bound):
-            return ResidualCode(indicator=patched, values=values)
+    with np.errstate(over="ignore"):  # a residual that overflows float32 rebuilds with an infinite error
+        values = code.values.astype(np.float32)
+    err = np.abs(p[patched] - (q[patched] + values.astype(np.float64)))
+    if not np.any(err > bound):
+        return ResidualCode(indicator=patched, values=values)
     return ResidualCode(indicator=patched, values=p[patched])
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,36 @@ class TestCompressDecompress:
         table = np.loadtxt(recon, delimiter=",", skiprows=1, ndmin=2)
         assert table[:, 0].tolist() == list(range(len(windows)))
         assert table[:, 1:].tobytes() == windows.tobytes()
+
+    def test_lossless_past_float32_range(self, tmp_path, capsys):
+        """A reading of 1e300 puts its window's mean past float32: the wire code is pinned and the reading patched."""
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")
+        lines = csv_path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",1e300"
+        csv_path.write_text("\n".join(lines) + "\n")
+        packets, recon = tmp_path / "p.bin", tmp_path / "rec.csv"
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path), "--bound", "0",
+                         "--verify", "--out", str(packets)]) == 0
+        assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
+                         "--out", str(recon)]) == 0
+        assert capsys.readouterr().err == ""
+        windows = dataset.make_windows(dataset.load_csv(csv_path, "t"), "temporal", 5)
+        assert (windows == 1e300).sum() == 1
+        assert np.loadtxt(recon, delimiter=",", skiprows=1, ndmin=2)[:, 1:].tobytes() == windows.tobytes()
+
+    def test_non_finite_code_word_fails_decompress(self, tmp_path, capsys):
+        csv_path, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")  # n = 5, k = 2
+        packets = tmp_path / "p.bin"
+        assert cli.main(["compress", "--model", str(model_path), "--input", str(csv_path),
+                         "--out", str(packets)]) == 0
+        data = bytearray(packets.read_bytes())
+        (prefix,) = struct.unpack_from("<I", data, 0)
+        struct.pack_into("<f", data, 4 + (prefix & (codec.WIDE_FLAG - 1)) + 4, np.nan)  # packet 1's first code word
+        packets.write_bytes(bytes(data))
+        recon = tmp_path / "rec.csv"
+        assert cli.main(["decompress", "--model", str(model_path), "--packets", str(packets),
+                         "--out", str(recon)]) == 1
+        assert "packet 1: non-finite code word or patch" in capsys.readouterr().err
 
     def test_empty_packet_file_writes_the_header_alone(self, tmp_path):
         _, model_path = _seeded_inputs(tmp_path, 0.6, "temporal")  # n = 5

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aebound import autoencoder as ae, baselines, codec, dataset
 from aebound.errors import FormatError, UnsupportedVersionError
@@ -52,11 +53,6 @@ def stream_prefixes(data: bytes) -> list[int]:
         prefixes.append(prefix)
         offset += 4 + (prefix & (codec.WIDE_FLAG - 1))
     return prefixes
-
-
-def stream_of(blobs, wide=False) -> bytes:
-    """Packet bodies joined with their u32 length prefixes, flagged when the patches are float64."""
-    return b"".join(struct.pack("<I", len(blob) | (codec.WIDE_FLAG if wide else 0)) + blob for blob in blobs)
 
 
 class TestCompressDecompress:
@@ -140,7 +136,7 @@ class TestCompressDecompress:
     @pytest.mark.filterwarnings("ignore:code dimension k")  # k >= n is a valid model
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), n=st.integers(1, 12),
-           k=st.integers(1, 4), sigma=st.floats(0.1, 10.0), offset=st.floats(-1e6, 1e6),
+           k=st.integers(1, 4), sigma=st.floats(0.1, 10.0), offset=st.floats(-1e300, 1e300),
            log_bound=st.floats(-12.0, 0.0))
     def test_every_positive_bound_holds_through_a_stream(self, tmp_path_factory, seed, count, n, k,
                                                          sigma, offset, log_bound):
@@ -211,7 +207,7 @@ class TestSerialization:
     def test_empty_eps_byte_count(self):
         rng = np.random.default_rng(4)
         pkt = random_packet(rng, 8, 2, n_resid=0)
-        assert len(codec.serialize_packet(pkt, 8, 2)) == 13  # 2*4 + 4 + 1
+        assert len(codec.serialize_packet(pkt, 8, 2)) == 17  # 4 + 2*4 + 4 + 1
 
     def test_roundtrip_bitwise(self):
         rng = np.random.default_rng(5)
@@ -266,15 +262,15 @@ class TestSerialization:
         assert np.max(np.abs(codec.decompress(back, model) - p)) <= 1e-9
 
     def test_nonzero_indicator_padding_rejected(self, tmp_path):
-        # n=12, k=4: 16 code bytes, 4 mean bytes, 2 indicator bytes whose top 4 bits are padding
+        # n=12, k=4: 4 prefix bytes, 16 code bytes, 4 mean bytes, 2 indicator bytes whose top 4 bits are padding
         pkt = random_packet(np.random.default_rng(19), 12, 4, n_resid=0)
         blob = bytearray(codec.serialize_packet(pkt, 12, 4))
-        assert len(blob) == 22
+        assert len(blob) == 26
         blob[-1] |= 0xF0
         with pytest.raises(FormatError, match=r"^packet 0: indicator padding bits"):
             codec.deserialize_packet(bytes(blob), 12, 4)
         path = tmp_path / "packets.bin"
-        path.write_bytes(stream_of([codec.serialize_packet(pkt, 12, 4), bytes(blob)]))
+        path.write_bytes(codec.serialize_packet(pkt, 12, 4) + bytes(blob))
         with pytest.raises(FormatError, match=r"^packet 1: indicator padding bits"):
             codec.read_packet_stream(path, 12, 4)
 
@@ -286,7 +282,7 @@ class TestSerialization:
             pkt = random_packet(rng, n, k)
             bc, br = packet_bits(pkt, n, k)
             padding = 8 * ((n + 7) // 8) - n
-            assert bc + br == 8 * len(codec.serialize_packet(pkt, n, k)) - padding
+            assert bc + br == 8 * len(codec.serialize_packet(pkt, n, k)) - 32 - padding  # no prefix bits
 
 
 class TestPacketSizeBits:
@@ -427,9 +423,11 @@ class TestLossless:
 
     def test_unflagged_lossless_stream_rejected(self, tmp_path, windows, wide_model):
         # the layout before the length prefix carried the width: 8-byte patches, no flag
-        blobs = [codec.serialize_packet(codec.compress(p, wide_model, 0.0), 16, 4) for p in windows[:5]]
+        blobs = [bytearray(codec.serialize_packet(codec.compress(p, wide_model, 0.0), 16, 4)) for p in windows[:5]]
+        for blob in blobs:
+            blob[3] &= 0x7F  # the top bit of the u32 LE prefix, WIDE_FLAG
         path = tmp_path / "packets.bin"
-        path.write_bytes(stream_of(blobs))
+        path.write_bytes(b"".join(blobs))
         with pytest.raises(FormatError, match=r"^packet 0: length \d+ != expected"):
             codec.read_packet_stream(path, 16, 4)
 
@@ -458,8 +456,7 @@ class TestPacketStream:
     def test_mixed_widths_name_the_first_that_differs(self, tmp_path, first_wide):
         rng = np.random.default_rng(16)
         widths = [first_wide, first_wide, not first_wide, first_wide]
-        data = b"".join(stream_of([codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2, wide=wide), 8, 3)], wide)
-                        for wide in widths)
+        data = b"".join(codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2, wide=wide), 8, 3) for wide in widths)
         path = tmp_path / "packets.bin"
         path.write_bytes(data)
         bits = (64, 32) if first_wide else (32, 64)
@@ -470,12 +467,16 @@ class TestPacketStream:
         """4 more bytes per float32 patch is a float64 body's length; the unflagged prefix still names it."""
         rng = np.random.default_rng(21)
         blobs = [codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2), 8, 3) for _ in range(3)]
-        assert codec.deserialize_packet(blobs[0] + bytes(8), 8, 3).eps.values.dtype == np.float64
-        data = bytearray(stream_of(blobs))
-        struct.pack_into("<I", data, 0, len(blobs[0]) + 8)
+        body = len(blobs[0]) - 4
+        with pytest.raises(FormatError):
+            codec.deserialize_packet(blobs[0] + bytes(8), 8, 3)
+        data = bytearray(b"".join(blobs))
+        struct.pack_into("<I", data, 0, body + 8)
+        with pytest.raises(FormatError, match=rf"^packet 0: length {body + 8} != expected {body}"):
+            codec.deserialize_packet(bytes(data[:len(blobs[0]) + 8]), 8, 3)
         path = tmp_path / "packets.bin"
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match=rf"^packet 0: length {len(blobs[0]) + 8} != expected {len(blobs[0])}"):
+        with pytest.raises(FormatError, match=rf"^packet 0: length {body + 8} != expected {body}"):
             codec.read_packet_stream(path, 8, 3)
 
     def test_truncated_stream_names_packet_index(self, model, tmp_path):
@@ -486,6 +487,78 @@ class TestPacketStream:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="packet 2"):
             codec.read_packet_stream(path, 8, 3)
+
+
+class TestNonFinite:
+    """The encoder writes finite code words and patches only, so the readers refuse any other and the writers too."""
+
+    @staticmethod
+    def blobs():
+        rng = np.random.default_rng(22)
+        return [bytearray(codec.serialize_packet(random_packet(rng, 8, 3, n_resid=2), 8, 3)) for _ in range(3)]
+
+    # n=8, k=3 with 2 float32 patches: u32 prefix, 3 code words and the mean at 4, the indicator at 20, patches at 21
+    @pytest.mark.parametrize("offset, value", [(4, np.nan), (8, -np.inf), (25, np.inf)],
+                             ids=["nan-code-word", "inf-code-word", "inf-patch"])
+    def test_readers_name_the_packet(self, tmp_path, offset, value):
+        blobs = self.blobs()
+        struct.pack_into("<f", blobs[1], offset, value)
+        with pytest.raises(FormatError, match=r"^packet 0: non-finite code word or patch"):
+            codec.deserialize_packet(bytes(blobs[1]), 8, 3)
+        path = tmp_path / "packets.bin"
+        path.write_bytes(b"".join(blobs))
+        with pytest.raises(FormatError, match=r"^packet 1: non-finite code word or patch"):
+            codec.read_packet_stream(path, 8, 3)
+
+    def test_structural_errors_are_named_first(self, tmp_path):
+        blobs = self.blobs()
+        struct.pack_into("<f", blobs[0], 4, np.nan)
+        path = tmp_path / "packets.bin"
+        path.write_bytes(b"".join(blobs)[:-1])
+        with pytest.raises(FormatError, match=r"^packet 2: truncated"):
+            codec.read_packet_stream(path, 8, 3)
+
+    @pytest.mark.parametrize("where, value, dtype", [("code", np.nan, np.float32), ("code", np.inf, np.float32),
+                                                     ("patch", np.inf, np.float32), ("patch", np.nan, np.float64)])
+    def test_writers_refuse_what_the_readers_would(self, tmp_path, where, value, dtype):
+        pkt = random_packet(np.random.default_rng(23), 8, 3, n_resid=2)
+        code, values = pkt.code.copy(), pkt.eps.values.astype(dtype)
+        (code[0] if where == "code" else values)[1] = value
+        bad = codec.Packets(code=code, eps=ResidualCode(pkt.eps.indicator, values))
+        with pytest.raises(ValueError, match="must be finite"):
+            codec.serialize_packet(bad, 8, 3)
+        path = tmp_path / "packets.bin"
+        with pytest.raises(ValueError, match="must be finite"):
+            codec.write_packet_stream(bad, 8, 3, path)
+        assert not path.exists()
+
+
+class TestEveryFiniteReading:
+    """Bound 0 is lossless for every finite reading: a code past float32's range is pinned, and its decode patched."""
+
+    N, K = 16, 4
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        X = dataset.make_windows(dataset.synth_dataset(6, 3000, seed=3), "temporal", self.N)[:600]
+        return {"ae": ae.init_params(self.N, self.K, seed=0, sigma=estimate_sigma(X)),
+                "pca": baselines.pca_fit(X, self.K), "dct": baselines.DctModel(self.N, self.K)}
+
+    @pytest.mark.parametrize("method", ["ae", "pca", "dct"])
+    @settings(max_examples=100, deadline=None)
+    @given(P=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(N)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_bound_zero_round_trips_bitwise(self, tmp_path_factory, models, method, P):
+        model = models[method]
+        n, k = self.N, model.code_width - 1  # the wire's k: the code words before the last
+        path = tmp_path_factory.mktemp("finite") / "packets.bin"
+        codec.write_packet_stream(codec.compress_batch(P, model, 0.0), n, k, path)
+        decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k), model)
+        assert np.array_equal(decoded.view(np.uint64), P.view(np.uint64))
+        for p in P:
+            blob = codec.serialize_packet(codec.compress(p, model, 0.0), n, k)
+            q = codec.decompress(codec.deserialize_packet(blob, n, k), model)
+            assert np.array_equal(q.view(np.uint64), p.view(np.uint64))
 
 
 def reference_compress(p, model, bound, wide):
@@ -538,7 +611,7 @@ class TestBatchParity:
 
         path = tmp_path / "packets.bin"
         codec.write_packet_stream(packets, n, k, path)
-        assert path.read_bytes() == stream_of((codec.serialize_packet(pkt, n, k) for pkt in rows), wide)
+        assert path.read_bytes() == b"".join(codec.serialize_packet(pkt, n, k) for pkt in rows)
 
         decoded = codec.decompress_batch(codec.read_packet_stream(path, n, k), model)
         one_by_one = np.array([codec.decompress(pkt, model) for pkt in rows])
@@ -699,12 +772,12 @@ class TestFuzz:
         blobs = [codec.serialize_packet(random_packet(rng, n, k, wide=wide), n, k)
                  for _ in range(count)]
         bad = int(rng.integers(count))
-        start = sum(4 + len(blob) for blob in blobs[:bad])
-        data = bytearray(stream_of(blobs, wide))
+        start = sum(len(blob) for blob in blobs[:bad])
+        data = bytearray(b"".join(blobs))
         if cut:  # end the file inside the bad packet
-            data = data[: start + int(rng.integers(1, 4 + len(blobs[bad])))]
+            data = data[: start + int(rng.integers(1, len(blobs[bad])))]
         else:  # give the bad packet a wrong length prefix: any, a little long, one short
-            true_length = len(blobs[bad])
+            true_length = len(blobs[bad]) - 4
             length = [int(rng.integers(0, 2**32 - 1)), true_length + int(rng.integers(1, 9)),
                       true_length - 1][int(rng.integers(3))]
             struct.pack_into("<I", data, start, length + (length == true_length))
